@@ -7,7 +7,10 @@ collection) and ``hooked`` (no-op injection hooks installed) — and asserts
 the decoded and compiled hot paths keep their headline speedups.  A second
 section measures fault-injection experiment throughput on a *late-injection*
 workload (first flip in the last quarter of the golden run, where the
-skippable prefix is longest) with checkpoint fast-forwarding on vs. off.
+skippable prefix is longest): the production runner against baselines that
+drive the VM directly with injection hooks armed for the whole run — a
+decoded :class:`Interpreter` from scratch, and the decoded and compiled
+interpreters resumed from the latest checkpoint.
 The numbers are written to ``BENCH_interpreter.json`` at the repository
 root, one section per backend, so the perf trajectory is tracked across PRs
 (CI prints the file on every run).
@@ -28,16 +31,17 @@ Knobs:
     (2.0) is the flake-resistant floor; the CI perf step enforces the real
     3.0 bar (measured headroom is ~3.2x).
 ``REPRO_BENCH_MIN_FF_SPEEDUP``
-    Required fast-forward-vs-scratch experiment throughput speedup on the
-    late-injection workload (default 1.5; CI enforces the same bar, measured
+    Required speedup of checkpoint restore over from-scratch execution on
+    the late-injection workload, both on a hooked decoded
+    :class:`Interpreter` (default 1.5; CI enforces the same bar, measured
     headroom is several x).
 ``REPRO_BENCH_MIN_WINDOWED_SPEEDUP``
-    Required campaign-throughput speedup of the windowed compiled
-    configuration over the always-hooked campaign baseline (decoded backend
-    with fast-forward — the configuration campaigns ran in before windowed
-    execution existed) on the late-injection workload.  Default 1.5 as the
-    flake-resistant floor; the CI perf step enforces the real 2.0 bar
-    (measured headroom is ~2.5x).
+    Required experiment-throughput speedup of the production runner
+    (compiled, injection-windowed) over a hooked decoded
+    :class:`Interpreter` resumed from the latest checkpoint on the
+    late-injection workload.  Default 1.5 as the flake-resistant floor;
+    the CI perf step enforces the real 2.0 bar (measured headroom is
+    ~2.5x).
 ``REPRO_BENCH_MAX_SUPERVISED_OVERHEAD``
     Maximum tolerated throughput overhead of the supervised multiprocess
     engine (chunk supervisor, retry bookkeeping, heartbeat deadlines) over
@@ -79,6 +83,7 @@ from pathlib import Path
 
 from repro.injection.experiment import ExperimentRunner
 from repro.injection.faultmodel import FaultSpec
+from repro.injection.injector import FaultInjector
 from repro.programs import registry
 from repro.vm import (
     CompiledInterpreter,
@@ -174,21 +179,49 @@ def _late_injection_specs(runner: ExperimentRunner, count: int = 16):
     ]
 
 
-def _experiments_per_second(runner: ExperimentRunner, specs, min_seconds: float = SECONDS) -> float:
-    runner.run_spec(specs[0])  # warm-up (builds checkpoints / interpreter)
+def _experiments_per_second(run_spec, specs, min_seconds: float = SECONDS) -> float:
+    run_spec(specs[0])  # warm-up (builds checkpoints / interpreter)
 
     def measure_once() -> float:
         cycle = itertools.cycle(specs)
         runs = 0
         started = time.perf_counter()
         while True:
-            runner.run_spec(next(cycle))
+            run_spec(next(cycle))
             runs += 1
             elapsed = time.perf_counter() - started
             if elapsed >= min_seconds:
                 return runs / elapsed
 
     return max(measure_once(), measure_once())
+
+
+def _always_hooked(runner: ExperimentRunner, interpreter, checkpoints=None):
+    """A baseline ``run_spec``: ``interpreter`` with hooks armed for the whole
+    run, from the latest checkpoint when ``checkpoints`` is given, else from
+    scratch.  The pooled interpreter is rewound per experiment."""
+
+    def run_spec(spec):
+        injector = FaultInjector(spec)
+        if spec.technique == "inject-on-read":
+            interpreter.read_hook = injector.read_hook
+        else:
+            interpreter.write_hook = injector.write_hook
+        try:
+            snapshot = None
+            if checkpoints is not None:
+                snapshot = checkpoints.latest_at(spec.first_dynamic_index)
+            if snapshot is not None:
+                execution = interpreter.resume_segment(snapshot, None)
+            else:
+                interpreter.reset()
+                execution = interpreter.run(runner.args)
+        finally:
+            interpreter.read_hook = None
+            interpreter.write_hook = None
+        return runner.classify(execution)
+
+    return run_spec
 
 
 def test_interpreter_throughput():
@@ -217,38 +250,39 @@ def test_interpreter_throughput():
     speedup = backends["decoded"]["bare"] / backends["reference"]["bare"]
     compiled_speedup = backends["compiled"]["bare"] / backends["decoded"]["bare"]
 
-    # Fault-injection experiment throughput: checkpoint fast-forward vs.
-    # from-scratch prefix replay on a late-injection workload.
-    ff_runner = ExperimentRunner(program, fast_forward=True)
-    scratch_runner = ExperimentRunner(
-        program, golden=ff_runner.golden, fast_forward=False
-    )
-    late_specs = _late_injection_specs(ff_runner)
-    experiment_rates = {
-        "fast_forward": _experiments_per_second(ff_runner, late_specs),
-        "from_scratch": _experiments_per_second(scratch_runner, late_specs),
-    }
-    ff_speedup = experiment_rates["fast_forward"] / experiment_rates["from_scratch"]
-    checkpoints = ff_runner._checkpoint_store()
+    # Fault-injection experiment throughput on a late-injection workload:
+    # the production runner (checkpoint restore → bare sprint → hooked
+    # window → bare tail, compiled) against always-hooked VM baselines.
+    # ``from_scratch`` replays the whole golden prefix on the decoded
+    # interpreter; ``hooked_decoded_checkpoint`` restores the latest
+    # checkpoint on it instead; ``always_hooked_compiled`` does the same on
+    # the compiled interpreter, isolating the windowing win from the
+    # backend win.
+    runner = ExperimentRunner(program)
+    checkpoints = runner._checkpoint_store()
+    late_specs = _late_injection_specs(runner)
 
-    # Campaign-level metric: injection-windowed execution (bare sprint →
-    # hooked window → bare tail) on the compiled backend vs. the always-
-    # hooked baselines.  ``fast_forward`` above *is* the always-hooked
-    # campaign baseline (decoded backend, hooks armed for the whole faulty
-    # suffix — the configuration campaigns ran in before windowed execution
-    # existed); ``always_hooked_compiled`` isolates the windowing win from
-    # the backend win.
-    windowed_runner = ExperimentRunner(
-        program, golden=ff_runner.golden, backend="compiled", windowed=True
-    )
-    hooked_compiled_runner = ExperimentRunner(
-        program, golden=ff_runner.golden, backend="compiled", windowed=False
-    )
-    experiment_rates["windowed"] = _experiments_per_second(windowed_runner, late_specs)
-    experiment_rates["always_hooked_compiled"] = _experiments_per_second(
-        hooked_compiled_runner, late_specs
-    )
-    windowed_speedup = experiment_rates["windowed"] / experiment_rates["fast_forward"]
+    def hooked(interpreter_class, code, with_checkpoints):
+        interpreter = interpreter_class(code, entry=entry, limits=runner.limits)
+        return _always_hooked(
+            runner, interpreter, checkpoints if with_checkpoints else None
+        )
+
+    experiment_rates = {
+        "from_scratch": _experiments_per_second(
+            hooked(Interpreter, decoded, False), late_specs
+        ),
+        "hooked_decoded_checkpoint": _experiments_per_second(
+            hooked(Interpreter, decoded, True), late_specs
+        ),
+        "always_hooked_compiled": _experiments_per_second(
+            hooked(CompiledInterpreter, compiled, True), late_specs
+        ),
+        "windowed": _experiments_per_second(runner.run_spec, late_specs),
+    }
+    hooked_checkpoint = experiment_rates["hooked_decoded_checkpoint"]
+    ff_speedup = hooked_checkpoint / experiment_rates["from_scratch"]
+    windowed_speedup = experiment_rates["windowed"] / hooked_checkpoint
     windowed_vs_hooked_compiled = (
         experiment_rates["windowed"] / experiment_rates["always_hooked_compiled"]
     )
@@ -297,15 +331,15 @@ def test_interpreter_throughput():
     )
     assert ff_speedup >= MIN_FF_SPEEDUP, (
         f"fast-forward is only {ff_speedup:.2f}x from-scratch execution "
-        f"({experiment_rates['fast_forward']:.1f} vs "
+        f"({experiment_rates['hooked_decoded_checkpoint']:.1f} vs "
         f"{experiment_rates['from_scratch']:.1f} experiments/s on the "
         f"late-injection workload); expected at least {MIN_FF_SPEEDUP}x"
     )
     assert windowed_speedup >= MIN_WINDOWED_SPEEDUP, (
         f"windowed compiled execution is only {windowed_speedup:.2f}x the "
-        f"always-hooked campaign baseline "
+        f"always-hooked decoded checkpoint baseline "
         f"({experiment_rates['windowed']:.1f} vs "
-        f"{experiment_rates['fast_forward']:.1f} experiments/s on the "
+        f"{experiment_rates['hooked_decoded_checkpoint']:.1f} experiments/s on the "
         f"late-injection workload); expected at least {MIN_WINDOWED_SPEEDUP}x"
     )
     assert windowed_vs_hooked_compiled > 1.0, (
@@ -502,9 +536,7 @@ def test_telemetry_overhead():
         for label, flag in modes:
             telemetry_metrics.set_enabled(flag)
             interpreter_module.refresh_vm_counters()
-            runners[label] = ExperimentRunner(
-                program, golden=golden, backend="compiled", windowed=True
-            )
+            runners[label] = ExperimentRunner(program, golden=golden)
             specs = specs or _late_injection_specs(runners[label])
             for spec in specs:  # warm-up: checkpoints, codegen, allocator
                 runners[label].run_spec(spec)

@@ -1,16 +1,22 @@
 #!/usr/bin/env python3
-"""Race the three execution backends on one workload and prove they agree.
+"""Race the VM's interpreters on one workload and prove the oracle agrees.
 
-The VM executes MiniIR through three interchangeable backends:
+The VM executes MiniIR through three interpreters:
 
-* ``reference`` — tree-walking interpreter, the semantic oracle;
-* ``decoded``   — decode-once slot-indexed driver;
-* ``compiled``  — Python source transpiled from the decoded form.
+* ``ReferenceInterpreter`` — tree-walking interpreter, the semantic oracle;
+* ``Interpreter``          — decode-once slot-indexed driver (captures
+  checkpoints and runs the compiled backend's cold path);
+* ``CompiledInterpreter``  — Python source transpiled from the decoded form.
 
-This example times each backend's golden run on a registry workload, shows
-the compiled backend's generated source for a flavour of what the
+Experiments run one of two ways: the production path (``backend="compiled"``,
+checkpoint restore → bare sprint → hooked window → bare tail) or the
+reference oracle (``backend="reference"``, from scratch, always hooked).
+
+This example times each interpreter's golden run on a registry workload,
+shows the compiled backend's generated source for a flavour of what the
 transpiler emits, and runs the same seeded fault-injection experiments on
-all three to demonstrate they produce identical outcomes.
+the production path and the oracle to demonstrate they produce identical
+outcomes.
 
 Run with::
 
@@ -74,7 +80,7 @@ def main() -> None:
 
     assert ref_result.output == dec_result.output == comp_result.output
     assert ref_result.return_value == dec_result.return_value == comp_result.return_value
-    print("  all three backends produced identical output and return value")
+    print("  all three interpreters produced identical output and return value")
 
     # A taste of what the transpiler emits for the entry function.
     source = compiled.source_bare
@@ -83,11 +89,11 @@ def main() -> None:
     for line in snippet.splitlines():
         print(f"  | {line}")
 
-    # Identical fault-injection outcomes: same seeds, three backends.
+    # Identical fault-injection outcomes: same seeds, production vs. oracle.
     print("\nseeded injection experiments (inject-on-read, max_mbf=3):")
     runners = {
         backend: ExperimentRunner(program, backend=backend)
-        for backend in ("reference", "decoded", "compiled")
+        for backend in ("compiled", "reference")
     }
     for seed in (11, 42, 2017):
         outcomes = {
@@ -98,8 +104,7 @@ def main() -> None:
         }
         values = set(outcome.value for outcome in outcomes.values())
         assert len(values) == 1, f"backends diverged at seed {seed}: {outcomes}"
-        print(f"  seed {seed:5d}: {outcomes['compiled'].value}  (all backends agree)")
-
+        print(f"  seed {seed:5d}: {outcomes['compiled'].value}  (production == oracle)")
 
 if __name__ == "__main__":
     main()

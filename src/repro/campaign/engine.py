@@ -84,22 +84,15 @@ def registry_provider(program_name: str) -> ExperimentRunner:
 class RegistryProvider:
     """A registry provider with execution knobs, picklable for worker pools.
 
-    ``fast_forward`` / ``checkpoint_interval`` / ``windowed`` parameterise
-    the :class:`~repro.injection.experiment.ExperimentRunner` each worker
-    builds (the CLI's ``--no-fast-forward`` / ``--checkpoint-interval`` /
-    ``--no-windowed`` land here).  ``cache_dir`` points workers at the
-    persistent artifact cache (:mod:`repro.artifacts`), so spawned processes
-    warm up from disk instead of re-deriving golden traces, checkpoints,
-    def-use indices and generated backend source.  ``backend`` selects the
-    execution engine each worker's runner uses (``decoded``, ``compiled`` or
-    ``reference``).
+    ``cache_dir`` points workers at the persistent artifact cache
+    (:mod:`repro.artifacts`), so spawned processes warm up from disk instead
+    of re-deriving golden traces, checkpoints, def-use indices and generated
+    backend source.  ``backend`` selects the production path (``compiled``)
+    or the ``reference`` oracle for each worker's runner.
     """
 
-    fast_forward: bool = True
-    checkpoint_interval: Optional[int] = None
     cache_dir: Optional[str] = None
-    backend: str = "decoded"
-    windowed: bool = True
+    backend: str = "compiled"
 
     def prepare(self) -> None:
         """Activate this provider's artifact cache in the current process.
@@ -120,13 +113,7 @@ class RegistryProvider:
         from repro.programs.registry import get_experiment_runner
 
         self.prepare()
-        return get_experiment_runner(
-            program_name,
-            fast_forward=self.fast_forward,
-            checkpoint_interval=self.checkpoint_interval,
-            backend=self.backend,
-            windowed=self.windowed,
-        )
+        return get_experiment_runner(program_name, backend=self.backend)
 
 
 class CachingProvider:
@@ -300,22 +287,20 @@ def run_error_batch(
 
 
 def persist_runner_artifacts(runner: ExperimentRunner) -> None:
-    """Push a warm runner's derived artifacts into the artifact cache.
+    """Push a warm production runner's derived artifacts into the artifact cache.
 
-    Golden trace + checkpoints (fast-forwarding runners) and generated
-    backend source (compiled runners).  No-op when no cache is active.
-    Called by pooled engines before dispatch, so derivation happens once per
-    host and spawned workers (which share only the disk) warm up from the
-    cache.
+    Generated backend source plus golden trace and checkpoints; the
+    reference oracle derives nothing worth caching.  No-op when no cache is
+    active.  Called by pooled engines before dispatch, so derivation happens
+    once per host and spawned workers (which share only the disk) warm up
+    from the cache.
     """
-    if getattr(runner, "backend", None) == "compiled":
-        from repro.vm.codegen import persist_compiled_source
-
-        persist_compiled_source(runner.program.module)
-    if not getattr(runner, "fast_forward", False):
+    if getattr(runner, "backend", None) != "compiled":
         return
+    from repro.vm.codegen import persist_compiled_source
     from repro.vm.snapshot import persist_cached_golden
 
+    persist_compiled_source(runner.program.module)
     persist_cached_golden(
         runner.program.module,
         entry=runner.program.entry,

@@ -17,9 +17,9 @@ Campaign results can be cached to a JSON file with ``--cache`` so repeated
 invocations only run what is missing.  ``--jobs N`` fans experiments out to a
 worker pool (results are bit-identical to a serial run of the same seed), and
 ``--checkpoint`` persists the store mid-sweep so interrupted runs resume.
-Experiments fast-forward over their fault-free prefix by restoring VM
-checkpoints; ``--no-fast-forward`` disables this and ``--checkpoint-interval``
-pins the checkpoint spacing (both change runtime only, never results).
+Experiments run on the production path (``--backend compiled``: restore a VM
+checkpoint, sprint bare to the fault window, hooked only inside it); the
+``--backend reference`` oracle gives bit-identical results, much slower.
 ``--cache-dir DIR`` activates the persistent artifact cache (golden traces,
 checkpoints, def-use indices, pruned plans), so repeated invocations and
 worker pools pay planning cost once per host; it defaults to
@@ -65,6 +65,7 @@ from repro.experiments import (
     table3,
     table4,
 )
+from repro.injection.experiment import BACKENDS
 from repro.injection.faultmodel import MAX_MBF_VALUES, win_size_by_index
 from repro.programs.registry import all_program_names, get_program
 from repro.telemetry.console import ConsoleReporter
@@ -108,10 +109,7 @@ def _build_session(args: argparse.Namespace) -> ExperimentSession:
         cache_dir=getattr(args, "cache_dir", None),
         checkpoint_path=args.checkpoint,
         jobs=args.jobs,
-        fast_forward=not args.no_fast_forward,
-        checkpoint_interval=args.checkpoint_interval,
-        backend=getattr(args, "backend", "decoded"),
-        windowed=not getattr(args, "no_windowed", False),
+        backend=getattr(args, "backend", "compiled"),
         progress=_progress(_reporter(args)),
         experiment_progress=_experiment_progress(_reporter(args)),
         max_retries=getattr(args, "max_retries", 3),
@@ -291,35 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
             "(defaults to --cache when given)",
         )
         sub.add_argument(
-            "--no-fast-forward",
-            action="store_true",
-            help="replay every experiment's fault-free prefix from scratch "
-            "instead of restoring VM checkpoints (slower; results are "
-            "bit-identical either way)",
-        )
-        sub.add_argument(
-            "--no-windowed",
-            action="store_true",
-            help="keep injection hooks armed for the whole faulty run instead "
-            "of only inside the fault window (slower; results are "
-            "bit-identical either way)",
-        )
-        sub.add_argument(
-            "--checkpoint-interval",
-            type=_positive_int,
-            default=None,
-            metavar="TICKS",
-            help="starting spacing (dynamic instructions) between VM "
-            "checkpoints during golden profiling (default: auto-tuned from "
-            "the golden run length; the snapshot budget applies either way)",
-        )
-        sub.add_argument(
             "--backend",
-            default="decoded",
-            choices=("decoded", "compiled", "reference"),
-            help="execution backend for experiment runs: 'decoded' (default), "
-            "'compiled' (transpiled Python, fastest) or 'reference' (IR "
-            "tree-walker oracle); results are bit-identical across all three",
+            default="compiled",
+            choices=BACKENDS,
+            help="execution backend for experiment runs: 'compiled' (the "
+            "production path, default) or 'reference' (IR tree-walker "
+            "oracle, much slower); results are bit-identical",
         )
         add_output_options(sub)
         add_resilience_options(sub)
@@ -391,30 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--checkpoint", default=None, help=argparse.SUPPRESS
         )
         campaign_parser.add_argument(
-            "--no-fast-forward",
-            action="store_true",
-            help="replay every experiment's fault-free prefix from scratch",
-        )
-        campaign_parser.add_argument(
-            "--no-windowed",
-            action="store_true",
-            help="keep injection hooks armed for the whole faulty run instead "
-            "of only inside the fault window (slower; results are "
-            "bit-identical either way)",
-        )
-        campaign_parser.add_argument(
-            "--checkpoint-interval",
-            type=_positive_int,
-            default=None,
-            metavar="TICKS",
-            help="starting spacing between VM checkpoints during golden profiling",
-        )
-        campaign_parser.add_argument(
             "--backend",
-            default="decoded",
-            choices=("decoded", "compiled", "reference"),
-            help="execution backend for experiment runs (default decoded); "
-            "results are bit-identical across all three",
+            default="compiled",
+            choices=BACKENDS,
+            help="execution backend for experiment runs (default compiled); "
+            "results are bit-identical to the 'reference' oracle",
         )
         add_output_options(campaign_parser)
         add_resilience_options(campaign_parser)
@@ -531,29 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="worker processes for campaign execution (default 1 = serial; "
         "results are identical to a serial run for the same seed)",
-    )
-    exhaustive_parser.add_argument(
-        "--no-fast-forward",
-        action="store_true",
-        help="replay every experiment's fault-free prefix from scratch "
-        "instead of restoring VM checkpoints (slower; results are "
-        "bit-identical either way)",
-    )
-    exhaustive_parser.add_argument(
-        "--no-windowed",
-        action="store_true",
-        help="keep injection hooks armed for the whole faulty run instead "
-        "of only inside the fault window (slower; results are "
-        "bit-identical either way)",
-    )
-    exhaustive_parser.add_argument(
-        "--checkpoint-interval",
-        type=_positive_int,
-        default=None,
-        metavar="TICKS",
-        help="starting spacing (dynamic instructions) between VM "
-        "checkpoints during golden profiling (default: auto-tuned from "
-        "the golden run length; the snapshot budget applies either way)",
     )
     add_output_options(exhaustive_parser)
     add_resilience_options(exhaustive_parser)
@@ -815,9 +748,6 @@ def _run_exhaustive(args: argparse.Namespace) -> str:
         cache_path=args.cache,
         cache_dir=args.cache_dir,
         jobs=args.jobs,
-        fast_forward=not args.no_fast_forward,
-        checkpoint_interval=args.checkpoint_interval,
-        windowed=not args.no_windowed,
         progress=_progress(_reporter(args)),
         experiment_progress=_experiment_progress(_reporter(args)),
         max_retries=args.max_retries,

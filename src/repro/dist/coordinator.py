@@ -71,6 +71,7 @@ from repro.dist.protocol import (
     MSG_WORK,
     PROTOCOL_VERSION,
     ProtocolError,
+    disable_nagle,
     recv_frame,
     send_frame,
 )
@@ -198,6 +199,7 @@ class CoordinatorTransport(DispatchTransport):
                 conn, _addr = self._listener.accept()
             except OSError:
                 return
+            disable_nagle(conn)
             threading.Thread(
                 target=self._reader_loop, args=(conn,), daemon=True
             ).start()

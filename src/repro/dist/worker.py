@@ -48,6 +48,7 @@ from repro.dist.protocol import (
     MSG_WORK,
     PROTOCOL_VERSION,
     ProtocolError,
+    disable_nagle,
     recv_frame,
     send_frame,
 )
@@ -56,6 +57,13 @@ from repro.telemetry import metrics as telemetry_metrics
 #: ``run()`` exit codes, surfaced by ``repro worker``.
 EXIT_OK = 0
 EXIT_UNREACHABLE = 3
+
+#: An idle agent re-asks for work after this long, doubling up to
+#: ``_IDLE_POLL_MAX`` while the coordinator keeps answering "wait": a
+#: dispatch round that follows closely on the last one starts within a few
+#: milliseconds, and a long-idle agent costs the coordinator ~4 polls/s.
+_IDLE_POLL_MIN = 0.005
+_IDLE_POLL_MAX = 0.25
 
 
 class _SeverConnection(Exception):
@@ -124,6 +132,7 @@ class WorkerAgent:
                     return EXIT_OK
                 continue
             attempts = 0
+            disable_nagle(sock)
             outcome = "retry"
             try:
                 outcome = self._serve(sock)
@@ -174,6 +183,7 @@ class WorkerAgent:
         )
         hb_thread.start()
         try:
+            idle_poll = _IDLE_POLL_MIN
             while not self._stop.is_set():
                 with send_lock:
                     send_frame(sock, {"type": MSG_NEXT, "max": self.jobs})
@@ -182,10 +192,12 @@ class WorkerAgent:
                     return "retry"
                 mtype = message.get("type")
                 if mtype == MSG_WAIT:
-                    if self._stop.wait(min(heartbeat_every, 0.25)):
+                    if self._stop.wait(min(heartbeat_every, idle_poll)):
                         return "final"
+                    idle_poll = min(2 * idle_poll, _IDLE_POLL_MAX)
                 elif mtype == MSG_WORK:
                     self._execute_round(sock, send_lock, message)
+                    idle_poll = _IDLE_POLL_MIN
                 elif mtype == MSG_STAND_DOWN:
                     # Final: the campaign is over.  Non-final (interrupt):
                     # back off and re-dial, in case the run is resumed.

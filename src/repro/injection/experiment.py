@@ -10,22 +10,21 @@ does:
    :class:`~repro.injection.injector.FaultInjector` installed, and classifies
    the outcome against the golden output per §III-E.
 
-The runner lowers the workload into its decoded executable form
-(:mod:`repro.vm.program`) exactly once; the profiling run and every faulty
-run share that one artifact, so per-experiment cost is execution only.  The
-``backend`` knob selects the tree-walking
-:class:`~repro.vm.reference.ReferenceInterpreter` instead — the seam the
-differential test suite uses to prove both paths produce bit-identical
-results.
+A runner executes its experiments one of two ways, selected by ``backend``:
 
-On the decoded backend the runner additionally *fast-forwards*: the
-profiling run records VM checkpoints (:mod:`repro.vm.snapshot`) every few
-hundred ticks, and each experiment restores the latest checkpoint at or
-before its first injection index instead of re-executing the shared golden
-prefix — turning per-experiment cost from O(full run) into O(interval +
-faulty suffix).  Fast-forwarded results are bit-identical to from-scratch
-execution (the differential suite enforces this); ``fast_forward=False``
-disables the optimisation entirely.
+* ``"compiled"`` (the production path, and the default): the workload is
+  decoded and transpiled once (:mod:`repro.vm.codegen`), and one checkpointed
+  profiling run (:mod:`repro.vm.snapshot`) yields the golden trace plus VM
+  snapshots.  Each faulty run restores the latest checkpoint at or before
+  its first injection tick (or starts from scratch when there is none),
+  sprints bare to the fault window, runs hooked only while the injector can
+  still flip, and finishes bare once it is exhausted.
+* ``"reference"`` (the oracle): the tree-walking
+  :class:`~repro.vm.reference.ReferenceInterpreter` runs every experiment
+  from scratch with its hooks armed the whole time, against a golden trace
+  profiled on the same backend.  It shares no execution code with the
+  production path, so the differential suites compare the two field for
+  field.
 """
 
 from __future__ import annotations
@@ -41,14 +40,9 @@ from repro.injection.injector import FaultInjector
 from repro.injection.outcome import Outcome
 from repro.injection.techniques import InjectionCandidate, InjectionTechnique
 from repro.telemetry.spans import PhaseClock
-from repro.vm.codegen import CompiledCode, CompiledInterpreter, compile_program
-from repro.vm.interpreter import (
-    ExecutionLimits,
-    ExecutionResult,
-    Interpreter,
-    SuspendedRun,
-)
-from repro.vm.program import DecodedProgram, decode_module
+from repro.vm.codegen import CompiledCode, CompiledInterpreter, compile_module
+from repro.vm.interpreter import ExecutionLimits, ExecutionResult, SuspendedRun
+from repro.vm.program import DecodedProgram
 from repro.vm.reference import ReferenceInterpreter
 from repro.vm.snapshot import (
     DEFAULT_MAX_CHECKPOINTS,
@@ -57,37 +51,17 @@ from repro.vm.snapshot import (
 )
 from repro.vm.trace import GoldenTrace, TraceCollector
 
-#: Execution backends an experiment can run on.  ``"decoded"`` is the
-#: production default; ``"compiled"`` transpiles the decoded program to
-#: specialized Python (fastest); ``"reference"`` walks the IR tree and
-#: exists for differential verification.
-BACKENDS = ("decoded", "reference", "compiled")
+#: Execution backends an experiment can run on: ``"compiled"`` is the
+#: production path; ``"reference"`` walks the IR tree and exists as the
+#: differential oracle.
+BACKENDS = ("compiled", "reference")
 
 
-def _make_interpreter(
-    program: CompiledProgram,
-    backend: str,
-    decoded: Optional[DecodedProgram] = None,
-    compiled: Optional[CompiledCode] = None,
-    **kwargs,
-):
-    if backend == "decoded":
-        return Interpreter(
-            decoded if decoded is not None else decode_module(program.module),
-            entry=program.entry,
-            **kwargs,
+def _check_backend(backend: str) -> None:
+    if backend not in BACKENDS:
+        raise ConfigurationError(
+            f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
         )
-    if backend == "compiled":
-        if compiled is None:
-            from repro.vm.codegen import compile_module
-
-            compiled = compile_module(program.module)
-        return CompiledInterpreter(compiled, entry=program.entry, **kwargs)
-    if backend == "reference":
-        return ReferenceInterpreter(program.module, entry=program.entry, **kwargs)
-    raise ConfigurationError(
-        f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
-    )
 
 
 def profile_program(
@@ -95,22 +69,27 @@ def profile_program(
     args: Sequence = (),
     *,
     limits: Optional[ExecutionLimits] = None,
-    backend: str = "decoded",
-    decoded: Optional[DecodedProgram] = None,
+    backend: str = "compiled",
 ) -> GoldenTrace:
     """Run the program fault-free and collect its golden trace.
 
     Raises if the fault-free run does not complete — a program that crashes
     without any injected fault is a benchmark bug, not an experiment outcome.
     """
+    _check_backend(backend)
     collector = TraceCollector()
-    interpreter = _make_interpreter(
-        program,
-        backend,
-        decoded,
-        limits=limits or ExecutionLimits(),
-        trace_collector=collector,
-    )
+    limits = limits or ExecutionLimits()
+    if backend == "compiled":
+        interpreter = CompiledInterpreter(
+            compile_module(program.module),
+            entry=program.entry,
+            limits=limits,
+            trace_collector=collector,
+        )
+    else:
+        interpreter = ReferenceInterpreter(
+            program.module, entry=program.entry, limits=limits, trace_collector=collector
+        )
     result = interpreter.run(list(args))
     if not result.completed:
         detail = result.fault.category if result.fault else "hang"
@@ -148,9 +127,12 @@ class ExperimentRunner:
     """Runs fault-injection experiments for one workload.
 
     A *workload* is a compiled program plus its (fixed) input; the program is
-    decoded and the golden trace profiled exactly once, then reused by every
-    experiment — mirroring LLFI's profile-then-inject workflow with the
-    decode step amortised the same way.
+    transpiled and the golden trace profiled exactly once, then reused by
+    every experiment — mirroring LLFI's profile-then-inject workflow with
+    the code-generation step amortised the same way.  ``backend`` picks the
+    production path (``"compiled"``) or the reference oracle; see the module
+    docstring.  ``checkpoint_interval`` pins the starting checkpoint spacing
+    (auto-tuned by default); results never depend on it.
     """
 
     def __init__(
@@ -160,46 +142,29 @@ class ExperimentRunner:
         args: Sequence = (),
         golden: Optional[GoldenTrace] = None,
         watchdog_multiplier: int = 12,
-        backend: str = "decoded",
-        fast_forward: bool = True,
-        windowed: bool = True,
+        backend: str = "compiled",
         checkpoint_interval: Optional[int] = None,
         max_checkpoints: int = DEFAULT_MAX_CHECKPOINTS,
     ) -> None:
-        if backend not in BACKENDS:
-            raise ConfigurationError(
-                f"unknown execution backend {backend!r}; expected one of {BACKENDS}"
-            )
+        _check_backend(backend)
         self.program = program
         self.backend = backend
-        #: The shared decoded artifact (None on the reference backend).  The
-        #: compiled backend keeps it too: generated code shares the decoded
-        #: program's slot numbering, block indices and checkpoints.
-        self.decoded: Optional[DecodedProgram] = (
-            decode_module(program.module)
-            if backend in ("decoded", "compiled")
-            else None
-        )
-        #: The transpiled artifact (compiled backend only).
-        self.compiled: Optional[CompiledCode] = (
-            compile_program(self.decoded) if backend == "compiled" else None
-        )
         self.args = list(args)
-        #: Fast-forward exists on the decoded and compiled drivers; the
-        #: reference backend always replays from scratch (it is the oracle).
-        self.fast_forward = bool(fast_forward) and backend in ("decoded", "compiled")
-        #: Injection-windowed execution: hooks are armed only while the
-        #: injector can still flip (bare sprint → hooked window → bare tail).
-        #: Requires the resumable drivers, so the reference oracle always
-        #: runs fully hooked.
-        self.windowed = bool(windowed) and backend in ("decoded", "compiled")
+        #: The transpiled artifact (None on the reference backend): one per
+        #: module per process, shared with every other user of the module.
+        self.compiled: Optional[CompiledCode] = (
+            compile_module(program.module) if backend == "compiled" else None
+        )
+        #: The decoded program the generated code was built from: its slot
+        #: numbering and block indices are shared with the checkpoints.
+        self.decoded: Optional[DecodedProgram] = (
+            self.compiled.program if self.compiled is not None else None
+        )
         self.checkpoint_interval = checkpoint_interval
         self.max_checkpoints = max_checkpoints
         self._checkpoints: Optional[CheckpointStore] = None
-        self._ff_interpreter: Optional[Interpreter] = None
-        #: Pooled from-scratch driver (non-fast-forward runs): built once,
-        #: rewound with ``reset()`` per experiment (reference stays per-run).
-        self._scratch_interpreter: Optional[Interpreter] = None
+        #: The one long-lived production driver every experiment reuses.
+        self._interpreter: Optional[CompiledInterpreter] = None
         #: Per-phase accounting across this runner's experiments (restore /
         #: pre-window sprint / hooked window / bare tail).  A single-cursor
         #: lap clock: every covered instant lands in exactly one phase, so
@@ -209,7 +174,7 @@ class ExperimentRunner:
         self.experiments_run = 0
         if golden is not None:
             self.golden = golden
-        elif self.fast_forward:
+        elif self.compiled is not None:
             # One checkpointed profiling run yields both the golden trace and
             # the snapshots (cached on the module, shared across runners).
             self.golden, self._checkpoints = golden_with_checkpoints(
@@ -220,9 +185,7 @@ class ExperimentRunner:
                 max_checkpoints=max_checkpoints,
             )
         else:
-            self.golden = profile_program(
-                program, self.args, backend=backend, decoded=self.decoded
-            )
+            self.golden = profile_program(program, self.args, backend=backend)
         self.watchdog_multiplier = watchdog_multiplier
         self.limits = ExecutionLimits.for_golden_length(
             self.golden.dynamic_instruction_count, watchdog_multiplier
@@ -295,10 +258,8 @@ class ExperimentRunner:
         The module-level cache in :mod:`repro.vm.snapshot` invalidates stored
         checkpoints together with the decode cache; a runner whose own
         decoded artifact went stale (module mutated after construction)
-        simply stops fast-forwarding rather than mixing numberings.
+        simply starts every run from scratch rather than mixing numberings.
         """
-        if self.decoded is None:
-            return None
         store = self._checkpoints
         if store is not None and store.program is self.decoded:
             return store
@@ -312,46 +273,29 @@ class ExperimentRunner:
         self._checkpoints = store
         return store if store.program is self.decoded else None
 
-    def _pooled_interpreter(self) -> Interpreter:
-        """The one long-lived resumable driver every experiment reuses."""
-        interpreter = self._ff_interpreter
-        if interpreter is None:
-            if self.backend == "compiled":
-                interpreter = CompiledInterpreter(
-                    self.compiled, entry=self.program.entry, limits=self.limits
-                )
-            else:
-                interpreter = Interpreter(
-                    self.decoded, entry=self.program.entry, limits=self.limits
-                )
-            self._ff_interpreter = interpreter
-        return interpreter
-
     def _run_windowed(
-        self,
-        injector: FaultInjector,
-        spec: FaultSpec,
-        read_hook,
-        write_hook,
-        use_fast_forward: bool,
+        self, injector: FaultInjector, spec: FaultSpec, read_hook, write_hook
     ) -> ExecutionResult:
-        """Three-segment faulty run: bare sprint → hooked window → bare tail.
+        """The production run: restore → bare sprint → hooked window → bare tail.
 
-        Outside the injection window the hooks are pure pass-throughs, so
-        the run executes bare (compiled: the uninstrumented variant) up to
-        ``first_dynamic_index``, switches the hooks in only while the
-        injector still has flips to place, and finishes bare the moment it
-        is exhausted.  Every segment enforces :class:`ExecutionLimits`, so
+        Restores the latest checkpoint at or before ``first_dynamic_index``
+        (or starts from scratch when there is none), then executes bare up
+        to that tick.  Outside the injection window the hooks are pure
+        pass-throughs, so they are switched in only while the injector still
+        has flips to place, and the run finishes bare the moment it is
+        exhausted.  Every segment enforces :class:`ExecutionLimits`, so
         hangs classify at the exact same tick as an always-hooked run.
         """
-        interpreter = self._pooled_interpreter()
+        interpreter = self._interpreter
+        if interpreter is None:
+            interpreter = CompiledInterpreter(
+                self.compiled, entry=self.program.entry, limits=self.limits
+            )
+            self._interpreter = interpreter
         clock = self.phases
         first = spec.first_dynamic_index
-        snapshot = None
-        if use_fast_forward:
-            store = self._checkpoint_store()
-            if store is not None:
-                snapshot = store.latest_at(first)
+        store = self._checkpoint_store()
+        snapshot = store.latest_at(first) if store is not None else None
         interpreter.read_hook = None
         interpreter.write_hook = None
         try:
@@ -407,97 +351,33 @@ class ExperimentRunner:
             interpreter.read_hook = None
             interpreter.write_hook = None
 
-    def run_spec(
-        self,
-        spec: FaultSpec,
-        *,
-        fast_forward: Optional[bool] = None,
-        windowed: Optional[bool] = None,
-    ) -> ExperimentResult:
-        """Execute one faulty run and classify its outcome.
+    def _run_oracle(self, read_hook, write_hook) -> ExecutionResult:
+        """The reference run: from scratch, hooks armed the whole time."""
+        interpreter = ReferenceInterpreter(
+            self.program.module,
+            entry=self.program.entry,
+            limits=self.limits,
+            read_hook=read_hook,
+            write_hook=write_hook,
+        )
+        self.phases.start()
+        execution = interpreter.run(self.args)
+        self.phases.lap("window")
+        return execution
 
-        ``fast_forward`` and ``windowed`` override the runner-level settings
-        for this one run (the escape hatches the differential suite compares
-        the execution strategies with).
-        """
+    def run_spec(self, spec: FaultSpec) -> ExperimentResult:
+        """Execute one faulty run and classify its outcome."""
         injector = FaultInjector(spec)
         read_hook = injector.read_hook if spec.technique == "inject-on-read" else None
         write_hook = injector.write_hook if spec.technique == "inject-on-write" else None
-        use_fast_forward = (
-            self.fast_forward
-            if fast_forward is None
-            else bool(fast_forward) and self.backend in ("decoded", "compiled")
-        )
-        use_windowed = (
-            self.windowed
-            if windowed is None
-            else bool(windowed) and self.backend in ("decoded", "compiled")
-        )
         self.experiments_run += 1
-        execution: Optional[ExecutionResult] = None
-        if use_windowed:
-            execution = self._run_windowed(
-                injector, spec, read_hook, write_hook, use_fast_forward
-            )
-        elif use_fast_forward:
-            store = self._checkpoint_store()
-            snapshot = (
-                store.latest_at(spec.first_dynamic_index) if store is not None else None
-            )
-            if snapshot is not None:
-                # One long-lived driver is reused by every fast-forwarded
-                # experiment; restore() rewinds all of its state.
-                interpreter = self._pooled_interpreter()
-                interpreter.read_hook = read_hook
-                interpreter.write_hook = write_hook
-                try:
-                    self.phases.start()
-                    execution = interpreter.resume(snapshot)
-                    self.phases.lap("window")
-                finally:
-                    interpreter.read_hook = None
-                    interpreter.write_hook = None
-        if execution is None:
-            if self.backend in ("decoded", "compiled"):
-                # Pooled from-scratch driver: decode/compile and address-space
-                # setup are paid once, reset() rewinds it per experiment.
-                interpreter = self._scratch_interpreter
-                if interpreter is None:
-                    interpreter = _make_interpreter(
-                        self.program,
-                        self.backend,
-                        self.decoded,
-                        self.compiled,
-                        limits=self.limits,
-                    )
-                    self._scratch_interpreter = interpreter
-                interpreter.read_hook = read_hook
-                interpreter.write_hook = write_hook
-                try:
-                    self.phases.start()
-                    interpreter.reset()
-                    execution = interpreter.run(self.args)
-                    self.phases.lap("window")
-                finally:
-                    interpreter.read_hook = None
-                    interpreter.write_hook = None
-            else:
-                interpreter = _make_interpreter(
-                    self.program,
-                    self.backend,
-                    self.decoded,
-                    self.compiled,
-                    limits=self.limits,
-                    read_hook=read_hook,
-                    write_hook=write_hook,
-                )
-                self.phases.start()
-                execution = interpreter.run(self.args)
-                self.phases.lap("window")
-        outcome = self.classify(execution)
+        if self.compiled is not None:
+            execution = self._run_windowed(injector, spec, read_hook, write_hook)
+        else:
+            execution = self._run_oracle(read_hook, write_hook)
         return ExperimentResult(
             spec=spec,
-            outcome=outcome,
+            outcome=self.classify(execution),
             activated_errors=injector.activated_errors,
             injections=list(injector.injections),
             dynamic_instructions=execution.dynamic_instructions,

@@ -115,26 +115,12 @@ def get_defuse_index(name: str):
 
 
 @lru_cache(maxsize=None)
-def get_experiment_runner(
-    name: str,
-    fast_forward: bool = True,
-    checkpoint_interval: "int | None" = None,
-    backend: str = "decoded",
-    windowed: bool = True,
-) -> ExperimentRunner:
+def get_experiment_runner(name: str, backend: str = "compiled") -> ExperimentRunner:
     """A ready-to-use experiment runner, cached per configuration.
 
-    With ``fast_forward`` (the default) the runner's warm-up also captures
-    the workload's VM checkpoints, cached alongside the golden trace — under
-    a ``fork``-based pool, workers inherit all of it.  ``backend`` selects
-    the execution engine faulty runs use (``decoded``, ``compiled`` or
-    ``reference``); ``windowed`` (the default) arms injection hooks only
-    inside the fault window of each faulty run.
+    The runner's warm-up transpiles the workload and captures its golden
+    trace plus VM checkpoints, cached on the module — under a ``fork``-based
+    pool, workers inherit all of it.  ``backend`` selects the production
+    path (``compiled``) or the ``reference`` oracle.
     """
-    return ExperimentRunner(
-        build_program(name),
-        fast_forward=fast_forward,
-        checkpoint_interval=checkpoint_interval,
-        backend=backend,
-        windowed=windowed,
-    )
+    return ExperimentRunner(build_program(name), backend=backend)

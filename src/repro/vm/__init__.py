@@ -15,10 +15,11 @@ needs:
 * program output is collected into an output buffer compared bit-wise
   against a golden run to detect silent data corruptions.
 
-Execution has three backends sharing one semantic contract:
+Execution has three interpreters sharing one semantic contract:
 :class:`Interpreter` drives the decode-once representation of
 :mod:`repro.vm.program` (registers numbered into flat frames, handlers
-pre-bound, phi moves precomputed per edge),
+pre-bound, phi moves precomputed per edge) and serves as the checkpoint
+capture driver and the compiled backend's interpretive cold path,
 :class:`~repro.vm.codegen.CompiledInterpreter` runs Python source transpiled
 from that decoded form (the campaign hot path), and
 :class:`~repro.vm.reference.ReferenceInterpreter` walks the IR tree directly

@@ -1,6 +1,6 @@
 """IR→Python transpiler backend: compile each workload once, run specialized code.
 
-The decoded backend (:mod:`repro.vm.program`) already resolves operands,
+The decoded form (:mod:`repro.vm.program`) already resolves operands,
 handlers and phi moves at decode time, but its driver still pays per-tick
 dispatch: a kind switch, tuple-indexed operand fetches and one pre-bound
 closure call per instruction.  This module removes that last layer by
@@ -1312,16 +1312,17 @@ class CompiledInterpreter(Interpreter):
     the generated entry function, and function calls made *by* generated
     code dispatch straight back into generated code.
 
-    Variant selection happens at ``run``/``resume`` time: with no trace
+    Variant selection happens at every ``run``/segment call: with no trace
     collector and no hooks armed the bare variant executes (zero
     instrumentation cost); otherwise the instrumented variant provides
     bit-identical trace/hook sequences to the decoded driver.
 
     Fast-forward interop: snapshots are captured by the decoded driver
     against the *same* :class:`DecodedProgram` (slot numbering and block
-    indices are shared), so ``resume`` rebuilds the captured call stack
-    interpretively up to the next block boundary (:meth:`_finish_block`) and
-    then re-enters the compiled block loop at the restored label.
+    indices are shared), so ``resume_segment`` rebuilds the captured call
+    stack interpretively up to the next block boundary
+    (:meth:`_finish_block`) and then re-enters the compiled block loop at
+    the restored label.
     """
 
     def __init__(self, program, **kwargs) -> None:
@@ -1375,11 +1376,6 @@ class CompiledInterpreter(Interpreter):
         return self._block_loop(frame, block, previous, position, position > 0)
 
     # -- fast-forward --------------------------------------------------------
-    def resume(self, snapshot) -> "ExecutionResult":
-        self.restore(snapshot)
-        self._select_variant()
-        return self._execute(lambda: self._resume_level(snapshot.frames, 0))
-
     def run_segment(self, args, pause_tick):
         self._select_variant()
         return super().run_segment(args, pause_tick)

@@ -364,17 +364,6 @@ class Interpreter:
         self.dynamic_index = snapshot.tick
         self._call_depth = 0
 
-    def resume(self, snapshot) -> ExecutionResult:
-        """Restore ``snapshot`` and execute the remaining suffix of the run.
-
-        The resumed execution is bit-identical to the suffix of a from-scratch
-        run: the dynamic-instruction counter continues at the snapshot tick,
-        hooks fire with the same indices and values, and the final
-        :class:`ExecutionResult` matches field for field.
-        """
-        self.restore(snapshot)
-        return self._execute(lambda: self._resume_level(snapshot.frames, 0))
-
     # ------------------------------------------------------------------ segments
     def _set_pause(self, pause_tick: Optional[int]) -> None:
         limit = self.limits.max_dynamic_instructions
@@ -451,7 +440,14 @@ class Interpreter:
         )
 
     def resume_segment(self, snapshot, pause_tick: Optional[int]):
-        """Restore a checkpoint and run its suffix, pausing at ``pause_tick``."""
+        """Restore a checkpoint and run its suffix, pausing at ``pause_tick``.
+
+        With ``pause_tick=None`` this runs the whole remaining suffix.  The
+        resumed execution is bit-identical to the suffix of a from-scratch
+        run: the dynamic-instruction counter continues at the snapshot tick,
+        hooks fire with the same indices and values, and the final
+        :class:`ExecutionResult` matches field for field.
+        """
         self.restore(snapshot)
         return self._segment(
             lambda: self._resume_level(snapshot.frames, 0), pause_tick

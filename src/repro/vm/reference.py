@@ -2,11 +2,12 @@
 
 This is the original, direct-over-the-IR execution engine: per-step
 ``isinstance`` dispatch, ``id(register)`` keyed frames, phi scans on block
-entry.  The production hot path is the decode-once driver in
+entry.  The production hot path is the transpiled code of
+:mod:`repro.vm.codegen` over the decode-once form of
 :mod:`repro.vm.interpreter`; this class is retained as the **semantic
-oracle** — the differential test suite executes every registry program
-through both backends and asserts bit-identical golden traces, injection
-records and campaign results.
+oracle** (``backend="reference"``) — the differential test suite executes
+every registry program both ways and asserts bit-identical golden traces,
+injection records and campaign results.
 
 Semantics follow the "hardware-like" conventions the paper relies on:
 integer arithmetic wraps at the register width, shifts mask their shift

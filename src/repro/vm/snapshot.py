@@ -32,7 +32,8 @@ prefix free to skip:
   a snapshot must never be applied across a re-decode, and
   :meth:`Interpreter.restore` enforces the same identity check.
 
-Restoring is implemented by :meth:`~repro.vm.interpreter.Interpreter.resume`:
+Restoring is implemented by
+:meth:`~repro.vm.interpreter.Interpreter.resume_segment`:
 the captured call stack is rebuilt by re-entering one Python frame per level
 (outer levels complete their suspended ``call`` exactly like ``_h_call``
 does), after which the ordinary inner loop executes the remaining suffix.

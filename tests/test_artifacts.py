@@ -116,7 +116,7 @@ def test_golden_roundtrip_is_bit_identical(cache):
     from repro.vm.interpreter import Interpreter
 
     driver = Interpreter(decoded, entry=program.entry)
-    resumed = driver.resume(loaded_store.snapshots[-1])
+    resumed = driver.resume_segment(loaded_store.snapshots[-1], None)
     assert resumed.completed
     assert resumed.output == golden.output
     assert resumed.return_value == golden.return_value

@@ -28,13 +28,19 @@ class TestParser:
             parser.parse_args([])
 
     def test_fast_forward_options(self):
+        """Execution-strategy knobs are gone: one production path, one oracle."""
         parser = build_parser()
-        args = parser.parse_args(["figure", "1", "--no-fast-forward"])
-        assert args.no_fast_forward
-        assert args.checkpoint_interval is None
-        args = parser.parse_args(["figure", "1", "--checkpoint-interval", "128"])
-        assert not args.no_fast_forward
-        assert args.checkpoint_interval == 128
+        for command in (["figure", "1"], ["campaign", "crc32"], ["exhaustive", "crc32"]):
+            for removed in (
+                ["--no-fast-forward"],
+                ["--no-windowed"],
+                ["--checkpoint-interval", "128"],
+                ["--backend", "decoded"],
+            ):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(command + removed)
+        assert parser.parse_args(["figure", "1"]).backend == "compiled"
+        assert parser.parse_args(["campaign", "crc32"]).backend == "compiled"
 
     def test_non_positive_checkpoint_interval_rejected(self):
         parser = build_parser()

@@ -1,24 +1,26 @@
-"""Differential suite: the compiled backend is bit-identical to decoded.
+"""Differential suite: the compiled backend is bit-identical to its sources.
 
 The transpiled-Python backend (:mod:`repro.vm.codegen`) claims bit-identical
 behaviour to the decoded interpreter it was generated from — which the
-decoded differential suite in turn pins to the reference tree walker.  These
-tests enforce the compiled backend's claim at every level the campaign stack
-depends on:
+decoded differential suite in turn pins to the reference tree walker — and
+the production experiment path built on it claims bit-identical results to
+the reference oracle.  These tests enforce the claims at every level the
+campaign stack depends on:
 
 * golden traces (records, output, return value) across **every** registry
-  program, bare and traced;
+  program, bare and traced, against the decoded :class:`Interpreter`;
 * hook call sequences (dynamic index, slot, register, value) on both hooks;
 * watchdog/limit behaviour — truncated runs stop at the same tick with the
   same partial trace;
-* checkpoint fast-forward interop — experiments resumed from decoded-built
-  snapshots on the compiled backend match from-scratch decoded execution;
-* per-experiment injection results for fixed seeds;
+* checkpoint interop — production experiments resumed from snapshots the
+  decoded capture driver took match the from-scratch reference oracle;
+* per-experiment injection results for fixed seeds, production vs. oracle;
 * campaign :class:`~repro.campaign.results.ResultStore` files, byte for byte.
 
 It also pins the codegen cache contract: generated source persists in the
-artifact cache and is never re-generated by warm processes or worker pools,
-and structural module mutation invalidates the compiled cache together with
+artifact cache and is never re-generated by warm processes or worker pools
+(nor re-compiled when a warm runner's artifacts are persisted), and
+structural module mutation invalidates the compiled cache together with
 the decode cache.
 
 By default the injection differential runs on a four-program subset (both
@@ -59,16 +61,20 @@ INJECTION_PROGRAMS = (
 )
 
 
-def _profile(backend: str, name: str):
+def _decoded_profile(name: str):
     program = registry.build_program(name)
-    return profile_program(program, backend=backend)
+    collector = TraceCollector()
+    result = Interpreter(
+        decode_module(program.module), entry=program.entry, trace_collector=collector
+    ).run()
+    return collector.build(result.output, result.return_value)
 
 
 # --------------------------------------------------------------------- golden traces
 @pytest.mark.parametrize("name", ALL_PROGRAMS)
 def test_golden_trace_bit_identical(name):
-    compiled = _profile("compiled", name)
-    decoded = _profile("decoded", name)
+    compiled = profile_program(registry.build_program(name))
+    decoded = _decoded_profile(name)
     assert compiled.output == decoded.output
     assert compiled.return_value == decoded.return_value
     assert len(compiled) == len(decoded)
@@ -178,27 +184,21 @@ def _assert_results_equal(lhs, rhs):
 
 @pytest.mark.parametrize("name", INJECTION_PROGRAMS)
 def test_injection_results_bit_identical(name):
-    program = registry.build_program(name)
-    decoded_runner = registry.get_experiment_runner(name)
-    compiled_runner = ExperimentRunner(
-        program, golden=decoded_runner.golden, backend="compiled"
-    )
+    production = registry.get_experiment_runner(name)
+    oracle = ExperimentRunner(production.program, backend="reference")
     seeds = [random.Random(name).getrandbits(48) for _ in range(3)]
     _assert_results_equal(
-        _experiment_results(compiled_runner, seeds),
-        _experiment_results(decoded_runner, seeds),
+        _experiment_results(production, seeds),
+        _experiment_results(oracle, seeds),
     )
 
 
 def test_fast_forward_interop_bit_identical():
-    """Experiments resumed from decoded-built checkpoints on the compiled
-    backend match from-scratch decoded execution (restore/resume interop)."""
-    program = registry.build_program("crc32")
-    scratch = ExperimentRunner(program, fast_forward=False)
-    compiled_ff = ExperimentRunner(
-        program, golden=scratch.golden, backend="compiled", fast_forward=True
-    )
-    golden_length = scratch.golden.dynamic_instruction_count
+    """Production experiments resumed on the compiled backend from snapshots
+    the decoded capture driver took match the from-scratch oracle."""
+    production = registry.get_experiment_runner("crc32")
+    oracle = ExperimentRunner(production.program, backend="reference")
+    golden_length = production.golden.dynamic_instruction_count
     specs = [
         FaultSpec(
             technique=technique,
@@ -213,9 +213,11 @@ def test_fast_forward_interop_bit_identical():
         )
         for technique in ("inject-on-read", "inject-on-write")
     ]
-    ff_results = [compiled_ff.run_spec(spec) for spec in specs]
-    scratch_results = [scratch.run_spec(spec) for spec in specs]
-    _assert_results_equal(ff_results, scratch_results)
+    assert production._checkpoint_store().latest_at(golden_length // 2) is not None
+    _assert_results_equal(
+        [production.run_spec(spec) for spec in specs],
+        [oracle.run_spec(spec) for spec in specs],
+    )
 
 
 # --------------------------------------------------------------------- campaign stores
@@ -234,9 +236,9 @@ def test_campaign_result_store_bytes_identical(tmp_path):
         store.save(path)
         return path.read_bytes()
 
-    decoded_bytes = store_bytes(None, "decoded.json")  # default registry provider
-    compiled_bytes = store_bytes(RegistryProvider(backend="compiled"), "compiled.json")
-    assert compiled_bytes == decoded_bytes
+    production_bytes = store_bytes(RegistryProvider(), "production.json")
+    reference_bytes = store_bytes(RegistryProvider(backend="reference"), "reference.json")
+    assert production_bytes == reference_bytes
 
 
 # --------------------------------------------------------------------- codegen cache
@@ -264,6 +266,29 @@ class TestCodegenCache:
         a = CompiledInterpreter(cold, entry=program.entry).run()
         b = CompiledInterpreter(warm, entry=program.entry).run()
         assert (a.return_value, a.output) == (b.return_value, b.output)
+
+    def test_persisting_a_warm_runner_compiles_once(self, tmp_path, monkeypatch):
+        """Pushing a warm runner's artifacts reuses its generated code: one
+        ``compile_program`` per module per process, none at persist time."""
+        from repro.campaign.engine import persist_runner_artifacts
+        from repro.vm import codegen
+
+        compiled = []
+        original = codegen.compile_program
+
+        def counting_compile(decoded):
+            compiled.append(decoded)
+            return original(decoded)
+
+        monkeypatch.setattr(codegen, "compile_program", counting_compile)
+        artifacts.configure(tmp_path / "artifacts")
+        runner = ExperimentRunner(registry.get_program("crc32").build())
+        assert compiled == [runner.decoded]
+        persist_runner_artifacts(runner)
+        assert compiled == [runner.decoded], "persisting re-compiled the source"
+        cache = artifacts.active_cache()
+        key = codegen.codegen_key(cache, runner.program.module)
+        assert cache.path_for("codegen", key).exists()
 
     def _clear_registry_caches(self):
         registry.build_program.cache_clear()
@@ -389,5 +414,5 @@ def test_registry_runner_accepts_compiled_backend():
     runner = registry.get_experiment_runner("crc32", backend="compiled")
     assert runner.backend == "compiled"
     assert runner.compiled is not None
-    decoded_runner = registry.get_experiment_runner("crc32")
-    assert decoded_runner is not runner
+    assert runner.compiled is compile_module(runner.program.module)
+    assert registry.get_experiment_runner("crc32").backend == "compiled"

@@ -1,16 +1,21 @@
 """Differential suite: decoded execution is bit-identical to the IR walker.
 
 The decode-once representation (:mod:`repro.vm.program`) claims bit-identical
-behaviour to the reference tree-walking interpreter.  These tests enforce the
-claim at every level the campaign stack depends on:
+behaviour to the reference tree-walking interpreter.  The decoded
+:class:`Interpreter` is no experiment backend of its own, but it captures
+the golden checkpoints and runs the compiled backend's interpretive cold
+path, so these tests drive it directly and enforce the claim at every level
+the campaign stack depends on:
 
 * golden traces (records, output, return value) across **every** registry
   program;
 * hook call sequences (dynamic index, slot, register, value) on both hooks;
-* per-experiment injection results (specs, outcomes, activated errors, the
-  individual :class:`~repro.injection.faultmodel.InjectionRecord` flips) for
-  fixed seeds;
-* campaign :class:`~repro.campaign.results.ResultStore` files, byte for byte.
+* per-experiment injection results (outcomes, the individual
+  :class:`~repro.injection.faultmodel.InjectionRecord` flips, instruction
+  counts, fault categories) for fixed seeds, with a fault injector wired
+  straight into the decoded driver;
+* campaign :class:`~repro.campaign.results.ResultStore` files, byte for byte
+  (production path vs. the reference oracle).
 
 It also pins the decode-cache contract: one decode per unchanged module,
 invalidation on structural mutation.
@@ -23,6 +28,7 @@ import pytest
 from repro.campaign import CampaignConfig, CampaignRunner, ResultStore
 from repro.frontend import compile_program
 from repro.injection import ExperimentRunner, TECHNIQUES, profile_program
+from repro.injection.injector import FaultInjector
 from repro.injection.faultmodel import win_size_by_index
 from repro.programs import registry
 from repro.vm import (
@@ -39,16 +45,16 @@ ALL_PROGRAMS = registry.all_program_names()
 INJECTION_PROGRAMS = ["crc32", "fft", "dijkstra", "qsort"]
 
 
-def _profile(backend: str, name: str):
-    program = registry.build_program(name)
-    return profile_program(program, backend=backend)
-
-
 # --------------------------------------------------------------------- golden traces
 @pytest.mark.parametrize("name", ALL_PROGRAMS)
 def test_golden_trace_bit_identical(name):
-    decoded = _profile("decoded", name)
-    reference = _profile("reference", name)
+    program = registry.build_program(name)
+    collector = TraceCollector()
+    result = Interpreter(
+        decode_module(program.module), entry=program.entry, trace_collector=collector
+    ).run()
+    decoded = collector.build(result.output, result.return_value)
+    reference = profile_program(program, backend="reference")
     assert decoded.output == reference.output
     assert decoded.return_value == reference.return_value
     assert len(decoded) == len(reference)
@@ -100,40 +106,47 @@ def test_trace_collection_through_decoded_fast_path():
 
 
 # --------------------------------------------------------------------- injections
-def _experiment_results(runner: ExperimentRunner, seeds):
-    results = []
-    for technique in TECHNIQUES:
-        for max_mbf, win_size in ((1, 0), (4, 0), (5, 3)):
-            for seed in seeds:
-                results.append(
-                    runner.run_seeded(
-                        technique, max_mbf=max_mbf, win_size=win_size, seed=seed
-                    )
-                )
-    return results
+def _specs(runner: ExperimentRunner, seeds):
+    return [
+        runner.seeded_spec(technique, max_mbf=max_mbf, win_size=win_size, seed=seed)
+        for technique in TECHNIQUES
+        for max_mbf, win_size in ((1, 0), (4, 0), (5, 3))
+        for seed in seeds
+    ]
+
+
+def _decoded_result(runner: ExperimentRunner, spec):
+    """Run ``spec`` from scratch on the decoded driver, hooks armed throughout."""
+    injector = FaultInjector(spec)
+    if spec.technique == "inject-on-read":
+        hooks = {"read_hook": injector.read_hook}
+    else:
+        hooks = {"write_hook": injector.write_hook}
+    program = runner.program
+    execution = Interpreter(
+        decode_module(program.module), entry=program.entry, limits=runner.limits, **hooks
+    ).run(runner.args)
+    return (
+        runner.classify(execution),
+        tuple(injector.injections),
+        execution.dynamic_instructions,
+        execution.fault.category if execution.fault else None,
+    )
 
 
 @pytest.mark.parametrize("name", INJECTION_PROGRAMS)
 def test_injection_results_bit_identical(name):
     program = registry.build_program(name)
-    decoded_runner = registry.get_experiment_runner(name)
-    # Golden-trace equality is proven above, so the reference runner may
-    # share the decoded golden trace; this keeps the spec sampling (and the
-    # test runtime) aligned while every faulty run still executes on the
-    # reference backend.
-    reference_runner = ExperimentRunner(
-        program, golden=decoded_runner.golden, backend="reference"
-    )
+    reference_runner = ExperimentRunner(program, backend="reference")
     seeds = [random.Random(name).getrandbits(48) for _ in range(3)]
-    decoded_results = _experiment_results(decoded_runner, seeds)
-    reference_results = _experiment_results(reference_runner, seeds)
-    for decoded, reference in zip(decoded_results, reference_results):
-        assert decoded.spec == reference.spec
-        assert decoded.outcome == reference.outcome
-        assert decoded.activated_errors == reference.activated_errors
-        assert decoded.injections == reference.injections
-        assert decoded.dynamic_instructions == reference.dynamic_instructions
-        assert decoded.fault_category == reference.fault_category
+    for spec in _specs(reference_runner, seeds):
+        reference = reference_runner.run_spec(spec)
+        assert _decoded_result(reference_runner, spec) == (
+            reference.outcome,
+            tuple(reference.injections),
+            reference.dynamic_instructions,
+            reference.fault_category,
+        )
 
 
 # --------------------------------------------------------------------- campaign stores
@@ -155,9 +168,9 @@ def test_campaign_result_store_bytes_identical(tmp_path):
     def reference_provider(name):
         return ExperimentRunner(registry.build_program(name), backend="reference")
 
-    decoded_bytes = store_bytes(None, "decoded.json")  # default registry provider
+    production_bytes = store_bytes(None, "production.json")  # default registry provider
     reference_bytes = store_bytes(reference_provider, "reference.json")
-    assert decoded_bytes == reference_bytes
+    assert production_bytes == reference_bytes
 
 
 # --------------------------------------------------------------------- decode cache
@@ -235,7 +248,8 @@ def test_experiment_runner_rejects_unknown_backend():
     from repro.errors import ConfigurationError
 
     program = registry.build_program("crc32")
-    with pytest.raises(ConfigurationError):
-        ExperimentRunner(program, backend="jit")
-    with pytest.raises(ConfigurationError):
-        profile_program(program, backend="jit")
+    for backend in ("jit", "decoded"):
+        with pytest.raises(ConfigurationError):
+            ExperimentRunner(program, backend=backend)
+        with pytest.raises(ConfigurationError):
+            profile_program(program, backend=backend)

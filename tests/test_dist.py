@@ -3,8 +3,8 @@
 Covers the framed wire protocol, the lease coordinator (host death, network
 partitions, duplicate completions, late joins, local fallback), coordinator
 crash + ``--resume``, and the end-to-end guarantee that 1-host, N-host and
-killed-then-resumed N-host runs produce byte-identical result stores across
-the decoded and compiled backends.
+killed-then-resumed N-host runs produce byte-identical result stores on
+both the production path and the reference oracle.
 
 In-process tests host :class:`~repro.dist.worker.WorkerAgent` on a thread
 (``jobs=1`` executes leases in-process, so no daemonic-children issues);
@@ -472,7 +472,7 @@ def _session_store_bytes(
     return cache.read_bytes()
 
 
-@pytest.mark.parametrize("backend", ["decoded", "compiled"])
+@pytest.mark.parametrize("backend", ["compiled", "reference"])
 class TestSessionByteIdentity:
     def test_topologies_produce_identical_stores(self, tmp_path, backend):
         """1-host, 2-worker and killed-worker runs all byte-match serial."""

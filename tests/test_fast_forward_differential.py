@@ -1,18 +1,19 @@
-"""Differential suite: fast-forwarded execution is bit-identical to scratch.
+"""Differential suite: the checkpointed production path matches the oracle.
 
-Fast-forward (checkpoint/restore of the shared golden prefix) claims to be a
-pure performance optimisation: every observable of an experiment — the fault
+Production experiments restore the latest VM checkpoint at or before their
+first injection tick instead of re-executing the shared golden prefix.  That
+is a pure performance claim: every observable of an experiment — the fault
 spec, the outcome, the activated-error records, the dynamic instruction
-count — must match from-scratch execution exactly.  These tests enforce the
-claim at every level:
+count — must match the reference oracle, which runs every experiment from
+scratch on the tree-walking interpreter with its hooks armed throughout.
+These tests enforce the claim at every level:
 
 * per-experiment :class:`~repro.injection.experiment.ExperimentResult`
   equality across **every** registry program, with injection times spread
   from the first to the last golden tick;
 * campaign :class:`~repro.campaign.results.ResultStore` files, byte for
-  byte, with fast-forward on vs. off — and serial vs. multiprocess with the
-  tick-sorted chunk execution, proving the engine's execution reordering
-  never leaks into results.
+  byte: production vs. oracle, serial vs. multiprocess with the tick-sorted
+  chunk execution, and auto-tuned vs. explicit checkpoint spacing.
 """
 
 import random
@@ -49,7 +50,7 @@ def _spread_specs(runner: ExperimentRunner, per_technique: int = 3):
             )
             specs.append(spec)
     # Pin the boundaries explicitly: injection at the very first and the very
-    # last eligible tick (the deepest fast-forward).
+    # last eligible tick (the deepest checkpoint restore).
     for records in (
         runner.golden.records_with_destination()[:1],
         runner.golden.records_with_destination()[-1:],
@@ -82,13 +83,12 @@ def _result_tuple(result):
 @pytest.mark.parametrize("name", ALL_PROGRAMS)
 def test_fast_forward_bit_identical(name):
     runner = registry.get_experiment_runner(name)
-    assert runner.fast_forward, "registry runners fast-forward by default"
+    oracle = ExperimentRunner(runner.program, backend="reference")
+    assert oracle.golden.output == runner.golden.output
     specs = _spread_specs(runner)
-    fast = [_result_tuple(runner.run_spec(spec, fast_forward=True)) for spec in specs]
-    scratch = [
-        _result_tuple(runner.run_spec(spec, fast_forward=False)) for spec in specs
-    ]
-    assert fast == scratch
+    production = [_result_tuple(runner.run_spec(spec)) for spec in specs]
+    reference = [_result_tuple(oracle.run_spec(spec)) for spec in specs]
+    assert production == reference
 
 
 def test_fast_forward_actually_restores():
@@ -100,16 +100,6 @@ def test_fast_forward_actually_restores():
     assert store.latest_at(late_tick) is not None
     assert runner.golden.checkpoint_ticks == tuple(store.ticks)
     assert runner.golden.latest_checkpoint_at(late_tick) == store.latest_at(late_tick).tick
-
-
-def test_runner_escape_hatch_disables_checkpoint_capture():
-    program = registry.build_program("crc32")
-    runner = ExperimentRunner(program, fast_forward=False)
-    assert not runner.fast_forward
-    assert runner._checkpoints is None
-    spec = runner.seeded_spec(TECHNIQUES[0], seed=7)
-    baseline = registry.get_experiment_runner("crc32")
-    assert _result_tuple(runner.run_spec(spec)) == _result_tuple(baseline.run_spec(spec))
 
 
 # --------------------------------------------------------------------- store bytes
@@ -140,12 +130,17 @@ def _store_bytes(tmp_path, filename, provider, engine=None):
     return path.read_bytes()
 
 
+def _pinned_interval_runner(name):
+    """A production runner whose checkpoints start 97 ticks apart."""
+    return ExperimentRunner(registry.build_program(name), checkpoint_interval=97)
+
+
 def test_store_bytes_identical_fast_forward_vs_scratch(tmp_path):
-    fast = _store_bytes(tmp_path, "fast.json", RegistryProvider(fast_forward=True))
-    scratch = _store_bytes(
-        tmp_path, "scratch.json", RegistryProvider(fast_forward=False)
+    production = _store_bytes(tmp_path, "production.json", RegistryProvider())
+    reference = _store_bytes(
+        tmp_path, "reference.json", RegistryProvider(backend="reference")
     )
-    assert fast == scratch
+    assert production == reference
 
 
 def test_store_bytes_identical_serial_vs_multiprocess_sorted_chunks(tmp_path):
@@ -163,8 +158,8 @@ def test_store_bytes_identical_serial_vs_multiprocess_sorted_chunks(tmp_path):
 
 
 def test_store_bytes_identical_with_explicit_checkpoint_interval(tmp_path):
+    auto_ticks = registry.get_experiment_runner("crc32").golden.checkpoint_ticks
+    assert _pinned_interval_runner("crc32").golden.checkpoint_ticks != auto_ticks
     default = _store_bytes(tmp_path, "default.json", RegistryProvider())
-    pinned = _store_bytes(
-        tmp_path, "pinned.json", RegistryProvider(checkpoint_interval=97)
-    )
+    pinned = _store_bytes(tmp_path, "pinned.json", _pinned_interval_runner)
     assert default == pinned

@@ -510,7 +510,7 @@ class TestSessionResume:
         yield
         artifacts.configure(None)
 
-    @pytest.mark.parametrize("backend", ["decoded", "compiled"])
+    @pytest.mark.parametrize("backend", ["compiled", "reference"])
     def test_interrupted_session_resumes_to_identical_store_bytes(
         self, tmp_path, monkeypatch, backend
     ):

@@ -155,7 +155,7 @@ class TestCaptureAndResume:
         assert max(len(snapshot.frames) for snapshot in store.snapshots) > 1
         vm = Interpreter(decoded, entry=recursive_program.entry)
         for snapshot in store.snapshots:
-            result = vm.resume(snapshot)
+            result = vm.resume_segment(snapshot, None)
             assert result.completed
             assert result.return_value == full.return_value
             assert result.output == full.output
@@ -195,7 +195,7 @@ class TestCaptureAndResume:
             vm = Interpreter(decoded, entry=recursive_program.entry)
             vm.read_hook = read_hook
             vm.write_hook = write_hook
-            vm.resume(snapshot)
+            vm.resume_segment(snapshot, None)
 
         full_events = run_hooked(full)
         suffix = [event for event in full_events if event[1] >= snapshot.tick]

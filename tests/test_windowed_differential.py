@@ -1,19 +1,23 @@
-"""Differential suite: injection-windowed execution is bit-identical.
+"""Differential suite: injection-windowed production runs match the oracle.
 
-Windowed execution (bare sprint to the fault window, hooked only while the
-injector can still flip, bare tail after the last flip) claims to be a pure
-performance optimisation.  Every observable of an experiment — outcome,
-activated-error count, the individual :class:`InjectionRecord`\\ s, the
-dynamic instruction count, the hardware-fault category — must match an
-always-hooked run exactly, on both resumable backends.  These tests enforce
-the claim per experiment, at the campaign :class:`ResultStore` byte level,
-and on the edge cases where the window machinery earns its keep: injection
-at the very first and very last golden tick, hangs that strike after the
-final flip, and windows straddling a VM checkpoint.
+Production runs execute bare outside the fault window (bare sprint to the
+first flip, hooked only while the injector can still flip, bare tail after
+the last flip).  That is a pure performance claim.  Every observable of an
+experiment — outcome, activated-error count, the individual
+:class:`InjectionRecord`\\ s, the dynamic instruction count, the
+hardware-fault category — must match the reference oracle, which keeps its
+hooks armed for the whole run.  These tests enforce the claim per
+experiment, at the campaign :class:`ResultStore` byte level, and on the
+edge cases where the window machinery earns its keep: injection at the
+very first and very last golden tick, win-size > 1 sprints between flips,
+hangs that strike after the final flip, windows straddling a VM checkpoint,
+and the from-scratch start taken when no checkpoint precedes the first flip
+or the runner's decode went stale.
 
-Set ``REPRO_DIFF_FULL=1`` for the exhaustive sweep (every program, both
-backends, a denser spec grid); the default run keeps a representative
-subset so tier-1 stays fast.
+The ``backend`` parameter names the production backend under test.  Set
+``REPRO_DIFF_FULL=1`` for the exhaustive sweep (every program, a denser
+spec grid); the default run keeps a representative subset so tier-1 stays
+fast.
 """
 
 import os
@@ -38,7 +42,7 @@ ALL_PROGRAMS = registry.all_program_names()
 #: benchmark the throughput gate measures (crc32).
 QUICK_PROGRAMS = ["crc32", "qsort", "dijkstra", "sha", "bfs"]
 SWEEP_PROGRAMS = ALL_PROGRAMS if FULL_SWEEP else QUICK_PROGRAMS
-BACKENDS = ("decoded", "compiled")
+PRODUCTION = ("compiled",)
 
 
 def _result_tuple(result):
@@ -115,7 +119,7 @@ def _window_specs(runner: ExperimentRunner):
         )
     )
     # A window straddling a VM checkpoint: the hooked segment runs across
-    # the tick a fast-forward restore would target.
+    # the tick a checkpoint restore would target.
     for tick in golden.checkpoint_ticks[:1]:
         specs.append(
             FaultSpec(
@@ -130,32 +134,56 @@ def _window_specs(runner: ExperimentRunner):
     return specs
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+def _oracle(runner: ExperimentRunner) -> ExperimentRunner:
+    return ExperimentRunner(runner.program, backend="reference")
+
+
+def _assert_matches_oracle(runner: ExperimentRunner, specs) -> None:
+    oracle = _oracle(runner)
+    production = [_result_tuple(runner.run_spec(s)) for s in specs]
+    reference = [_result_tuple(oracle.run_spec(s)) for s in specs]
+    assert production == reference
+
+
+@pytest.mark.parametrize("backend", PRODUCTION)
 @pytest.mark.parametrize("name", SWEEP_PROGRAMS)
 def test_windowed_bit_identical(name, backend):
     runner = registry.get_experiment_runner(name, backend=backend)
-    assert runner.windowed, "registry runners run windowed by default"
-    specs = _window_specs(runner)
-    windowed = [_result_tuple(runner.run_spec(s, windowed=True)) for s in specs]
-    hooked = [_result_tuple(runner.run_spec(s, windowed=False)) for s in specs]
-    assert windowed == hooked
+    _assert_matches_oracle(runner, _window_specs(runner))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", PRODUCTION)
 @pytest.mark.parametrize("name", SWEEP_PROGRAMS)
 def test_windowed_bit_identical_without_fast_forward(name, backend):
-    """Windowing composes with from-scratch execution (no checkpoint restore)."""
-    runner = registry.get_experiment_runner(name, backend=backend)
-    specs = _window_specs(runner)[:4]
-    windowed = [
-        _result_tuple(runner.run_spec(s, windowed=True, fast_forward=False))
-        for s in specs
-    ]
-    hooked = [
-        _result_tuple(runner.run_spec(s, windowed=False, fast_forward=False))
-        for s in specs
-    ]
-    assert windowed == hooked
+    """With no checkpoint to restore, runs start from scratch (reset + sprint)."""
+    shared = registry.get_experiment_runner(name, backend=backend)
+    total = shared.golden.dynamic_instruction_count
+    runner = ExperimentRunner(
+        shared.program, backend=backend, checkpoint_interval=total + 1
+    )
+    assert len(runner._checkpoint_store()) == 0
+    _assert_matches_oracle(runner, _window_specs(runner)[:4])
+
+
+def test_stale_decode_starts_from_scratch():
+    """A runner whose decode went stale never restores foreign checkpoints."""
+    program = registry.get_program("crc32").build()
+    runner = ExperimentRunner(
+        program, golden=registry.get_experiment_runner("crc32").golden
+    )
+    # A no-op operand rewrite drops the module's decode cache: the next
+    # checkpoint capture re-decodes, so its snapshots use another numbering.
+    instruction = next(
+        inst
+        for function in program.module.functions.values()
+        for block in function.blocks
+        for inst in block.instructions
+        if inst.operands
+    )
+    instruction.replace_operand(0, instruction.operands[0])
+    program.module.finalize()
+    assert runner._checkpoint_store() is None
+    _assert_matches_oracle(runner, _window_specs(runner)[:4])
 
 
 #: Found by sweep: faults that leave the program looping forever, with the
@@ -189,27 +217,28 @@ _HANG_SPECS = {
 }
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", PRODUCTION)
 @pytest.mark.parametrize("name", sorted(_HANG_SPECS))
 def test_windowed_hang_after_injection(name, backend):
     """A hang in the bare tail classifies identically to an always-hooked run."""
     runner = registry.get_experiment_runner(name, backend=backend)
     spec = _HANG_SPECS[name]
-    hooked = runner.run_spec(spec, windowed=False)
+    hooked = _oracle(runner).run_spec(spec)
     assert hooked.outcome is Outcome.HANG, "sweep-selected spec must still hang"
     assert hooked.activated_errors == spec.max_mbf, "flips land before the hang"
-    windowed = runner.run_spec(spec, windowed=True)
-    assert _result_tuple(windowed) == _result_tuple(hooked)
+    assert _result_tuple(runner.run_spec(spec)) == _result_tuple(hooked)
 
 
 def test_windowed_exhausted_signal_detaches():
-    """The injector reports exhaustion exactly when the last flip lands."""
+    """The injector reports exhaustion exactly when the last flip lands, and
+    the bare tail that follows matches the always-hooked oracle."""
     runner = registry.get_experiment_runner("crc32")
     spec = runner.seeded_spec(TECHNIQUES[0], max_mbf=3, win_size=2, seed=5)
-    result = runner.run_spec(spec, windowed=True)
+    result = runner.run_spec(spec)
     assert result.activated_errors <= spec.max_mbf
     if result.activated_errors == spec.max_mbf:
         assert result.injections[-1].dynamic_index < result.dynamic_instructions
+    assert _result_tuple(result) == _result_tuple(_oracle(runner).run_spec(spec))
 
 
 # --------------------------------------------------------------------- store bytes
@@ -236,16 +265,12 @@ def _store_bytes(tmp_path, filename, provider):
     return path.read_bytes()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", PRODUCTION)
 def test_store_bytes_identical_windowed_vs_hooked(tmp_path, backend):
     windowed = _store_bytes(
-        tmp_path,
-        f"windowed-{backend}.json",
-        RegistryProvider(backend=backend, windowed=True),
+        tmp_path, f"windowed-{backend}.json", RegistryProvider(backend=backend)
     )
     hooked = _store_bytes(
-        tmp_path,
-        f"hooked-{backend}.json",
-        RegistryProvider(backend=backend, windowed=False),
+        tmp_path, "hooked-reference.json", RegistryProvider(backend="reference")
     )
     assert windowed == hooked
