@@ -9,10 +9,13 @@ provides:
   (SMOKE / BENCH / PAPER), and deterministic seeding;
 * :mod:`repro.campaign.plan` — helpers that expand a program list into the
   campaign grids behind each figure of the paper;
-* :mod:`repro.campaign.engine` — pluggable execution engines (serial and
-  multiprocess worker pool) with deterministic per-experiment seeding;
-* :mod:`repro.campaign.supervisor` — fault-tolerant chunk dispatch over raw
-  worker processes (crash detection, retries, bisection, quarantine);
+* :mod:`repro.campaign.engine` — the execution engines (serial and
+  multiprocess): one chunked-run driver over the work-kind table, with
+  deterministic per-experiment seeding;
+* :mod:`repro.campaign.scheduler` — the dispatch policy every transport
+  shares (retries, bisection, quarantine, deadlines, graceful stop);
+* :mod:`repro.campaign.supervisor` — the pipe transport: chunks on
+  supervised worker processes (crash and hang detection);
 * :mod:`repro.campaign.ledger` — durable write-ahead chunk ledger enabling
   ``--resume`` after a killed run;
 * :mod:`repro.campaign.runner` — executes campaigns and collects results;
@@ -32,6 +35,7 @@ from repro.campaign.engine import (
     DispatchTransport,
     EngineProgress,
     ExecutionEngine,
+    InProcessTransport,
     MultiprocessEngine,
     RegistryProvider,
     SerialEngine,
@@ -52,7 +56,8 @@ from repro.campaign.results import (
     ResultStore,
 )
 from repro.campaign.runner import CampaignRunner
-from repro.campaign.supervisor import ChunkSupervisor, ChunkTask, SupervisorStats
+from repro.campaign.scheduler import ChunkScheduler, ChunkTask, SupervisorStats
+from repro.campaign.supervisor import ChunkSupervisor
 
 __all__ = [
     "BENCH_SCALE",
@@ -60,6 +65,7 @@ __all__ = [
     "CampaignResult",
     "CampaignRunner",
     "ChunkLedger",
+    "ChunkScheduler",
     "ChunkSupervisor",
     "ChunkTask",
     "DispatchRequest",
@@ -68,6 +74,7 @@ __all__ = [
     "ExecutionEngine",
     "ExhaustiveCampaignRequest",
     "ExhaustiveCampaignResult",
+    "InProcessTransport",
     "exhaustive_campaigns",
     "ExperimentScale",
     "full_paper_grid",

@@ -1,29 +1,36 @@
-"""Pluggable campaign execution engines.
+"""Campaign execution engines: one chunked-run driver, two executors.
 
 A campaign is an embarrassingly parallel bag of experiments: every experiment
 is fully determined by ``CampaignConfig.experiment_seed(index)``, so the only
 shared state a worker needs is the compiled workload and its golden trace.
-This module exploits that with two interchangeable backends:
 
-* :class:`SerialEngine` — runs every experiment in-process, in index order;
-* :class:`MultiprocessEngine` — fans chunked experiment batches out to
-  supervised worker processes (:mod:`repro.campaign.supervisor`); each worker
-  builds the compiled workload + golden trace once (LLFI's
-  profile-once/inject-many split, batch-dispatched) and returns picklable
-  partial :class:`~repro.campaign.results.CampaignResult` objects that the
-  parent merges in index order.
+Every run — a sampled campaign (:meth:`ExecutionEngine.run`), an exhaustive
+error space (:meth:`ExecutionEngine.run_errors`), the planner's inference
+pass (:meth:`MultiprocessEngine.plan_infer_map`) — goes through one driver,
+``ExecutionEngine._execute``, parameterised by a row of the work-kind table
+(:data:`CAMPAIGN`, :data:`ERRORS`, :data:`INFER`: chunk function, worker
+initializer, chunk sizing, ledger identity, merge, crashed-chunk fill).  The
+driver owns the chunk ledger, the run-event stream, progress, interrupts,
+the degraded-pool fallback and the quarantine fill.  Chunks run on one of
+two executors:
+
+* :class:`InProcessTransport` — in the calling process, for
+  :class:`SerialEngine` and for a pooled run whose workers keep dying; a
+  chunk that raises is bisected down to the offending unit, which is
+  quarantined with the ``crashed`` outcome;
+* a pooled :class:`DispatchTransport`, for :class:`MultiprocessEngine` —
+  supervised worker processes on this host (:class:`SupervisedPoolTransport`)
+  or worker hosts behind the socket coordinator of :mod:`repro.dist`.  Both
+  move chunks under the shared :class:`~repro.campaign.scheduler.ChunkScheduler`
+  (retries, bisection, quarantine, deadlines).
 
 Because seeds are derived per experiment index rather than drawn from one
-sequential stream, both engines produce bit-identical results for the same
-configuration, and any experiment can be replayed in isolation by index.
+sequential stream, and chunks merge by start offset, every engine and
+transport produces bit-identical results for the same configuration, and any
+experiment can be replayed in isolation by index.
 
-Fault tolerance (both engines, all three dispatch paths — experiments,
-exhaustive errors, planner inference):
+Fault tolerance, the same on every path:
 
-* dead or wedged workers are detected, killed and replaced; their chunks are
-  retried with capped exponential backoff, bisected down to the offending
-  experiment when they keep failing, and quarantined with the ``crashed``
-  outcome (or raised, under ``--no-quarantine``);
 * with a ledger directory configured, every completed chunk's mergeable
   partial is appended to a durable write-ahead ledger
   (:mod:`repro.campaign.ledger`), so a killed run restarted with
@@ -31,8 +38,8 @@ exhaustive errors, planner inference):
   byte-identical to an uninterrupted run;
 * SIGINT/SIGTERM drain in-flight chunks, flush the ledger and raise
   :class:`~repro.errors.CampaignInterrupted`; repeated worker crashes
-  degrade the pooled engine to in-process serial execution with a warning
-  instead of dying.
+  degrade a pooled run to in-process execution with a warning instead of
+  dying.
 """
 
 from __future__ import annotations
@@ -43,19 +50,15 @@ import multiprocessing
 import os
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.campaign.config import CampaignConfig
 from repro.campaign.ledger import ChunkLedger
 from repro.campaign.results import CampaignResult
-from repro.campaign.supervisor import (
-    ChunkSupervisor,
-    ChunkTask,
-    SupervisorStats,
-    _SignalGuard,
-)
+from repro.campaign.scheduler import ChunkScheduler, ChunkTask, SupervisorStats
+from repro.campaign.supervisor import ChunkSupervisor
 from repro.errors import (
     CampaignExecutionError,
     CampaignInterrupted,
@@ -189,11 +192,11 @@ def _phase_delta(runner: ExperimentRunner, before: dict) -> dict:
     }
 
 
-def _merged_phase_seconds(partials: Iterable["CampaignResult"]) -> dict:
-    """Summed per-phase seconds across partial results (any order)."""
+def _sum_phases(tables: Iterable[dict]) -> dict:
+    """Summed per-phase seconds across per-chunk phase tables (any order)."""
     totals: dict = {}
-    for partial in partials:
-        for phase, seconds in partial.phase_seconds.items():
+    for table in tables:
+        for phase, seconds in table.items():
             totals[phase] = totals.get(phase, 0.0) + seconds
     return totals
 
@@ -310,7 +313,14 @@ def persist_runner_artifacts(runner: ExperimentRunner) -> None:
     )
 
 
-# -- fault-tolerance plumbing shared by both engines --------------------------------
+# -- the work-kind table ------------------------------------------------------------
+#
+# Every chunk payload is ``(context, items)``: ``context`` is shared by the
+# whole run, ``items`` is the chunk's slice of the run's units (a range of
+# experiment indices, or tick-sorted error triples).  Workers build their
+# state once with the kind's initializer and call the kind's chunk function
+# per chunk; both are module-level, so they cross process and host
+# boundaries by reference.
 
 
 def _run_key(kind: str, fingerprint: str, identity: dict) -> str:
@@ -336,78 +346,89 @@ def _module_fingerprint(runner: ExperimentRunner) -> str:
     return artifacts.module_fingerprint(runner.program.module)
 
 
-def _open_campaign_ledger(
-    ledger_dir: str,
-    *,
-    resume: bool,
-    runner: ExperimentRunner,
-    config: CampaignConfig,
-    resolved_win_size: int,
-    keep_records: bool,
-    chunk: int,
-) -> ChunkLedger:
-    key = _run_key(
-        "campaign",
-        _module_fingerprint(runner),
-        {
-            "campaign_id": config.campaign_id,
-            "master_seed": config.master_seed,
-            "experiments": config.experiments,
-            "resolved_win_size": resolved_win_size,
-            "keep_records": bool(keep_records),
-        },
-    )
-    return ChunkLedger.open(
-        Path(ledger_dir),
-        key,
-        total=config.experiments,
-        meta={"kind": "campaign", "campaign_id": config.campaign_id, "chunk": chunk},
-        resume=resume,
+def _initialise_runner(
+    provider: Optional[RunnerProvider], program_name: str
+) -> ExperimentRunner:
+    return (provider or registry_provider)(program_name)
+
+
+def _initialise_inference(provider, program_name: str):
+    """Build (or cache-load) the def-use index + inference engine once."""
+    if provider is not None and hasattr(provider, "prepare"):
+        provider.prepare()
+    from repro.errorspace.inference import OutcomeInference
+    from repro.programs.registry import get_defuse_index
+
+    return OutcomeInference(get_defuse_index(program_name))
+
+
+def _experiment_chunk(runner: ExperimentRunner, payload) -> CampaignResult:
+    (config, resolved_win_size, keep_records), indices = payload
+    return run_experiment_batch(
+        runner,
+        config,
+        resolved_win_size,
+        indices.start,
+        len(indices),
+        keep_records=keep_records,
     )
 
 
-def _open_errors_ledger(
-    ledger_dir: str,
-    *,
-    resume: bool,
-    runner: ExperimentRunner,
-    program: str,
-    technique: str,
-    errors: Sequence[Tuple[int, Optional[int], int]],
-    chunk: int,
-) -> ChunkLedger:
-    key = _run_key(
-        "errors",
-        _module_fingerprint(runner),
-        {
-            "program": program,
-            "technique": technique,
-            "errors": _errors_digest(errors),
-            "total": len(errors),
-        },
-    )
-    return ChunkLedger.open(
-        Path(ledger_dir),
-        key,
-        total=len(errors),
-        meta={
-            "kind": "errors",
-            "campaign_id": f"{program}/{technique}/error-space",
-            "chunk": chunk,
-        },
-        resume=resume,
-    )
+def _error_chunk(runner: ExperimentRunner, payload) -> Tuple[List[str], dict]:
+    technique, errors = payload
+    phase_before = _phase_snapshot(runner)
+    values = [outcome.value for outcome in run_error_batch(runner, technique, errors)]
+    return values, _phase_delta(runner, phase_before)
 
 
-def _crashed_partial(
-    runner: ExperimentRunner,
-    config: CampaignConfig,
-    resolved_win_size: int,
-    start: int,
-    count: int,
-    *,
-    keep_records: bool,
-) -> CampaignResult:
+def _infer_chunk(engine, payload) -> List[Optional[Outcome]]:
+    from repro.errorspace.enumerate import SingleBitError
+
+    _, triples = payload
+    return [
+        engine.infer(
+            SingleBitError(
+                ordinal=0,
+                dynamic_index=dynamic_index,
+                slot=slot,
+                bit=bit,
+                register_bits=0,
+                opcode="",
+            )
+        )
+        for dynamic_index, slot, bit in triples
+    ]
+
+
+def _campaign_identity(job: "WorkJob") -> dict:
+    config, resolved_win_size, keep_records = job.context
+    return {
+        "campaign_id": config.campaign_id,
+        "master_seed": config.master_seed,
+        "experiments": config.experiments,
+        "resolved_win_size": resolved_win_size,
+        "keep_records": keep_records,
+    }
+
+
+def _errors_identity(job: "WorkJob") -> dict:
+    return {
+        "program": job.program,
+        "technique": job.context,
+        "errors": _errors_digest(job.items),
+        "total": len(job.items),
+    }
+
+
+def _join_partials(job: "WorkJob", partials: Iterable[CampaignResult]) -> CampaignResult:
+    config, resolved_win_size, _ = job.context
+    result = CampaignResult(config=config, resolved_win_size=resolved_win_size)
+    for partial in partials:
+        result.merge(partial)
+    return result
+
+
+def _crashed_partial(job: "WorkJob", task: ChunkTask) -> CampaignResult:
     """Partial result recording quarantined experiments as ``crashed``.
 
     The fault location is recoverable without executing anything: sampling a
@@ -415,9 +436,11 @@ def _crashed_partial(
     the (first_dynamic_index, first_slot) the experiment would have injected
     at, and location-sensitive analyses stay meaningful.
     """
+    (config, resolved_win_size, keep_records), indices = task.payload
+    runner = job.provider(job.program)
     technique = technique_by_name(config.technique)
     partial = CampaignResult(config=config, resolved_win_size=resolved_win_size)
-    for index in range(start, start + count):
+    for index in indices:
         first_dynamic_index, first_slot = 0, None
         try:
             spec = runner.seeded_spec(
@@ -440,196 +463,120 @@ def _crashed_partial(
     return partial
 
 
-def _guarded_experiment_batch(
-    runner: ExperimentRunner,
-    config: CampaignConfig,
-    resolved_win_size: int,
-    start: int,
-    count: int,
-    *,
-    keep_records: bool,
-    quarantine: bool,
-    stats: SupervisorStats,
-) -> CampaignResult:
-    """In-process batch execution that survives poisoned experiments.
+def _warm_defuse_index(program: str) -> None:
+    """Let inference workers load the def-use index from the artifact cache
+    instead of replaying the golden trace once per process."""
+    from repro import artifacts
 
-    Library-level errors (:class:`ReproError`) propagate — they mean the
-    campaign itself is misconfigured.  Anything else is treated like a
-    worker crash: the batch is bisected down to the offending experiment,
-    which is quarantined as ``crashed`` (or raised under no-quarantine).
-    """
-    try:
-        return run_experiment_batch(
-            runner, config, resolved_win_size, start, count, keep_records=keep_records
-        )
-    except (KeyboardInterrupt, SystemExit, ReproError):
-        raise
-    except Exception as exc:
-        if count == 1:
-            if not quarantine:
-                raise CampaignExecutionError(
-                    f"experiment {start} of {config.campaign_id} failed and "
-                    f"quarantine is disabled: {exc!r}"
-                ) from exc
-            stats.quarantined_units += 1
-            return _crashed_partial(
-                runner, config, resolved_win_size, start, 1, keep_records=keep_records
-            )
-        stats.bisections += 1
-        half = count // 2
-        left = _guarded_experiment_batch(
-            runner,
-            config,
-            resolved_win_size,
-            start,
-            half,
-            keep_records=keep_records,
-            quarantine=quarantine,
-            stats=stats,
-        )
-        right = _guarded_experiment_batch(
-            runner,
-            config,
-            resolved_win_size,
-            start + half,
-            count - half,
-            keep_records=keep_records,
-            quarantine=quarantine,
-            stats=stats,
-        )
-        return left.merge(right)
+    if artifacts.active_cache() is not None:
+        from repro.programs.registry import get_defuse_index
+
+        get_defuse_index(program)
 
 
-def _guarded_error_values(
-    runner: ExperimentRunner,
-    technique_name: str,
-    errors: Sequence[Tuple[int, Optional[int], int]],
-    *,
-    quarantine: bool,
-    stats: SupervisorStats,
-) -> List[str]:
-    """Crash-guarded :func:`run_error_batch` returning outcome values."""
-    try:
-        return [outcome.value for outcome in run_error_batch(runner, technique_name, errors)]
-    except (KeyboardInterrupt, SystemExit, ReproError):
-        raise
-    except Exception as exc:
-        if len(errors) == 1:
-            if not quarantine:
-                raise CampaignExecutionError(
-                    f"error {errors[0]!r} failed and quarantine is disabled: {exc!r}"
-                ) from exc
-            stats.quarantined_units += 1
-            return [Outcome.CRASHED.value]
-        stats.bisections += 1
-        half = len(errors) // 2
-        return _guarded_error_values(
-            runner, technique_name, errors[:half], quarantine=quarantine, stats=stats
-        ) + _guarded_error_values(
-            runner, technique_name, errors[half:], quarantine=quarantine, stats=stats
-        )
+@dataclass(frozen=True)
+class WorkKind:
+    """One row of the work-kind table: how the driver runs a kind of work."""
+
+    name: str
+    #: ``fn(state, (context, items)) -> body`` executes one chunk.
+    fn: Callable
+    #: ``initializer(provider, program) -> state``, once per worker.
+    initializer: Callable
+    #: Bounds of the chunk size, which otherwise aims at ~4 chunks per worker.
+    chunk_bounds: Tuple[int, int]
+    #: ``join(job, bodies) -> body`` merges chunk bodies given in chunk order.
+    join: Callable
+    #: ``crashed(job, task) -> body`` stands in for quarantined units.
+    crashed: Callable
+    #: ``phases(body) -> {phase: seconds}`` of the experiments a body ran.
+    phases: Callable
+    #: ``identity(job) -> dict`` keys the chunk ledger; None: never ledgered.
+    identity: Optional[Callable] = None
+    #: A body as a JSON-safe ledger payload, and back (``(job, payload)``).
+    to_record: Optional[Callable] = None
+    from_record: Optional[Callable] = None
+    #: ``warm(program)`` prepares the dispatching process for pooled workers.
+    warm: Optional[Callable] = None
 
 
-# -- supervised worker entry points -------------------------------------------------
-#
-# Supervised workers receive ``(fn, chunk_id, payload)`` messages; ``fn`` is
-# one of the module-level chunk functions below and ``state`` is whatever the
-# initializer returned (an ExperimentRunner or an OutcomeInference engine).
+CAMPAIGN = WorkKind(
+    name="campaign",
+    fn=_experiment_chunk,
+    initializer=_initialise_runner,
+    chunk_bounds=(1, 64),
+    join=_join_partials,
+    crashed=_crashed_partial,
+    phases=lambda partial: partial.phase_seconds,
+    identity=_campaign_identity,
+    to_record=lambda partial: partial.to_partial_payload(),
+    from_record=lambda job, payload: CampaignResult.from_partial_payload(
+        job.context[0], job.context[1], payload
+    ),
+)
+
+ERRORS = WorkKind(
+    name="errors",
+    fn=_error_chunk,
+    initializer=_initialise_runner,
+    chunk_bounds=(32, 512),
+    join=lambda job, bodies: (
+        [value for values, _ in bodies for value in values],
+        _sum_phases(phases for _, phases in bodies),
+    ),
+    crashed=lambda job, task: ([Outcome.CRASHED.value] * task.size, {}),
+    phases=lambda body: body[1],
+    identity=_errors_identity,
+    to_record=lambda body: {"outcomes": body[0]},
+    from_record=lambda job, payload: (payload["outcomes"], {}),
+)
+
+INFER = WorkKind(
+    name="infer",
+    fn=_infer_chunk,
+    initializer=_initialise_inference,
+    chunk_bounds=(1024, 16384),
+    join=lambda job, bodies: [outcome for body in bodies for outcome in body],
+    # Unprovable by a crashing worker: the planner executes those errors.
+    crashed=lambda job, task: [None] * task.size,
+    phases=lambda body: {},
+    warm=_warm_defuse_index,
+)
 
 
-def _initialise_supervised_runner(
-    provider: Optional[RunnerProvider], program_name: str
-) -> ExperimentRunner:
-    return (provider or registry_provider)(program_name)
+@dataclass
+class WorkJob:
+    """One run of one work kind: its units, their shared context, its label."""
+
+    work: WorkKind
+    program: str
+    provider: RunnerProvider
+    #: Names the run in progress, ledger metadata and interrupt messages.
+    label: str
+    items: Sequence
+    context: Any = None
+    #: Header fields of the run's event log.
+    meta: Optional[dict] = None
+
+    def task(self, start: int, count: int) -> ChunkTask:
+        payload = (self.context, self.items[start : start + count])
+        return ChunkTask(start, self.work.fn, payload, count)
 
 
-def _experiment_chunk(runner: ExperimentRunner, payload) -> CampaignResult:
-    config, resolved_win_size, start, count, keep_records = payload
-    return run_experiment_batch(
-        runner, config, resolved_win_size, start, count, keep_records=keep_records
-    )
-
-
-def _error_chunk(runner: ExperimentRunner, payload) -> Tuple[List[str], dict]:
-    technique, errors = payload
-    phase_before = _phase_snapshot(runner)
-    values = [outcome.value for outcome in run_error_batch(runner, technique, errors)]
-    return values, _phase_delta(runner, phase_before)
-
-
-def _initialise_supervised_inference(provider, program_name: str):
-    """Build (or cache-load) the def-use index + inference engine once."""
-    if provider is not None and hasattr(provider, "prepare"):
-        provider.prepare()
-    from repro.errorspace.inference import OutcomeInference
-    from repro.programs.registry import get_defuse_index
-
-    return OutcomeInference(get_defuse_index(program_name))
-
-
-def _infer_chunk(engine, triples) -> List[Optional[Outcome]]:
-    from repro.errorspace.enumerate import SingleBitError
-
+def split_task(task: ChunkTask) -> List[ChunkTask]:
+    """Bisect a chunk into two halves (every kind's payload is ``(context, items)``)."""
+    context, items = task.payload
+    half = task.size // 2
     return [
-        engine.infer(
-            SingleBitError(
-                ordinal=0,
-                dynamic_index=dynamic_index,
-                slot=slot,
-                bit=bit,
-                register_bits=0,
-                opcode="",
-            )
-        )
-        for dynamic_index, slot, bit in triples
-    ]
-
-
-def _split_experiment_task(task: ChunkTask) -> List[ChunkTask]:
-    config, resolved, start, count, keep_records = task.payload
-    half = count // 2
-    return [
-        ChunkTask(start, task.fn, (config, resolved, start, half, keep_records), half),
-        ChunkTask(
-            start + half,
-            task.fn,
-            (config, resolved, start + half, count - half, keep_records),
-            count - half,
-        ),
-    ]
-
-
-def _split_error_task(task: ChunkTask) -> List[ChunkTask]:
-    technique, errors = task.payload
-    half = len(errors) // 2
-    return [
-        ChunkTask(task.chunk_id, task.fn, (technique, errors[:half]), half),
-        ChunkTask(
-            task.chunk_id + half,
-            task.fn,
-            (technique, errors[half:]),
-            len(errors) - half,
-        ),
-    ]
-
-
-def _split_infer_task(task: ChunkTask) -> List[ChunkTask]:
-    triples = task.payload
-    half = len(triples) // 2
-    return [
-        ChunkTask(task.chunk_id, task.fn, triples[:half], half),
-        ChunkTask(task.chunk_id + half, task.fn, triples[half:], len(triples) - half),
+        ChunkTask(task.chunk_id, task.fn, (context, items[:half]), half),
+        ChunkTask(task.chunk_id + half, task.fn, (context, items[half:]), task.size - half),
     ]
 
 
 # -- transport-agnostic dispatch seam -----------------------------------------------
 #
-# A pooled engine describes one dispatch round as a DispatchRequest — chunk
-# tasks, the worker initializer that builds per-process state, the split
-# function used for bisection, fault-tolerance knobs and the engine's
-# ledger/telemetry callbacks — and hands it to a DispatchTransport.  The
-# in-process supervised pool is one implementation; the socket coordinator in
-# :mod:`repro.dist` is another.  Because chunks are deterministic and merge by
+# The driver describes one dispatch round as a DispatchRequest and hands it
+# to a DispatchTransport.  Because chunks are deterministic and merge by
 # offset, *where* a transport runs them cannot change the assembled bytes.
 
 
@@ -637,22 +584,15 @@ def _split_infer_task(task: ChunkTask) -> List[ChunkTask]:
 class DispatchRequest:
     """Everything a transport needs to execute one chunked dispatch round.
 
-    ``initializer(provider, program)`` builds the per-worker state that the
-    chunk functions (``task.fn``) consume; both the initializer and the chunk
-    functions are module-level (picklable by reference), so a request can
-    cross process and host boundaries.  The callbacks run in the dispatching
-    process: ``on_chunk_done`` is the durability point (the engine fsyncs the
-    ledger there), ``on_grant`` and ``on_event`` feed telemetry.
+    The callbacks run in the dispatching process: ``on_chunk_done`` is the
+    durability point (the engine fsyncs the ledger there), ``on_grant`` and
+    ``on_event`` feed telemetry.
     """
 
-    kind: str
-    program: str
-    provider: RunnerProvider
-    initializer: Callable
+    job: WorkJob
     tasks: List[ChunkTask]
-    split: Optional[Callable[[ChunkTask], List[ChunkTask]]]
     jobs: int
-    start_method: str
+    start_method: Optional[str] = None
     max_retries: int = 3
     chunk_timeout: Optional[float] = None
     quarantine: bool = True
@@ -660,14 +600,32 @@ class DispatchRequest:
     on_grant: Optional[Callable[[ChunkTask], None]] = None
     on_event: Optional[Callable[..., None]] = None
 
+    split = staticmethod(split_task)
+
+    @property
+    def kind(self) -> str:
+        return self.job.work.name
+
+    @property
+    def program(self) -> str:
+        return self.job.program
+
+    @property
+    def provider(self) -> RunnerProvider:
+        return self.job.provider
+
+    @property
+    def initializer(self) -> Callable:
+        return self.job.work.initializer
+
     @property
     def initargs(self) -> Tuple:
         """Arguments for ``initializer`` — what workers need to warm up."""
-        return (self.provider, self.program)
+        return (self.job.provider, self.job.program)
 
 
 class DispatchTransport:
-    """Interface between pooled engines and whatever executes their chunks."""
+    """Interface between the engine driver and whatever executes its chunks."""
 
     #: Short name surfaced as the engine name in telemetry and summaries.
     name: str = "?"
@@ -712,6 +670,53 @@ class SupervisedPoolTransport(DispatchTransport):
         )
 
 
+class InProcessTransport(DispatchTransport):
+    """Runs chunks one after another in the calling process.
+
+    The executor of :class:`SerialEngine`, and of a pooled run whose workers
+    keep dying.  No process can be lost here, so a chunk that raises is not
+    retried: it is bisected in place down to the offending unit, which is
+    quarantined with the kind's crashed fill (or raised under
+    no-quarantine).  Library errors (:class:`ReproError`) propagate — they
+    mean the run itself is misconfigured.
+    """
+
+    name = "serial"
+
+    def execute(self, request: DispatchRequest):
+        job = request.job
+        state = job.work.initializer(job.provider, job.program)
+        scheduler = ChunkScheduler.for_request(request)
+        with scheduler:
+            while not scheduler.finished(in_flight=False):
+                for task in list(scheduler.pending):
+                    scheduler.grant(task, time.monotonic())
+                    body = self._guarded(request, state, task, scheduler.stats)
+                    scheduler.complete(task, body)
+                    if scheduler.stop_requested:
+                        break
+        return scheduler.result()
+
+    def _guarded(self, request: DispatchRequest, state, task: ChunkTask, stats):
+        job = request.job
+        try:
+            return task.fn(state, task.payload)
+        except (KeyboardInterrupt, SystemExit, ReproError):
+            raise
+        except Exception as exc:
+            if task.size == 1:
+                if not request.quarantine:
+                    raise CampaignExecutionError(
+                        f"{job.label}: unit {task.chunk_id} failed and quarantine "
+                        f"is disabled: {exc!r}"
+                    ) from exc
+                stats.quarantined_units += 1
+                return job.work.crashed(job, task)
+            stats.bisections += 1
+            halves = [self._guarded(request, state, half, stats) for half in split_task(task)]
+            return job.work.join(job, halves)
+
+
 class _RunTelemetry:
     """Structured run-event stream for one engine dispatch.
 
@@ -721,12 +726,12 @@ class _RunTelemetry:
     run-log directory (or without a ledger to take the key from) every
     method is a no-op, so engine code calls unconditionally.
 
-    Construct at the very top of a run method — cache-stats and metrics
-    baselines are captured there, *before* the runner is built, so the
-    run's own warm-up traffic (golden derivation, codegen, cache loads) is
-    part of its ``run_finished`` delta while earlier runs in the same
-    process are not.  :meth:`attach` binds the event log once the ledger
-    (whose content-addressed key names the log file) exists.
+    Construct at the very top of a run — cache-stats and metrics baselines
+    are captured there, *before* the runner is built, so the run's own
+    warm-up traffic (golden derivation, codegen, cache loads) is part of its
+    ``run_finished`` delta while earlier runs in the same process are not.
+    :meth:`attach` binds the event log once the ledger (whose
+    content-addressed key names the log file) exists.
     """
 
     def __init__(self) -> None:
@@ -858,14 +863,22 @@ class _RunTelemetry:
         return report
 
 
+
 class ExecutionEngine:
-    """Interface every campaign execution backend implements."""
+    """The chunked-run driver every campaign execution engine shares.
+
+    Subclasses pick the executor (``_transport``) and the chunk sizing;
+    everything else about a run happens once, in :meth:`_execute`.
+    """
 
     #: Short name used in progress messages and benchmark labels.
     name: str = "?"
 
-    #: Per-phase wall-clock seconds of the most recent :meth:`run_errors`
-    #: call (restore / pre_window / window / tail), for the CLI summary.
+    #: Worker processes chunks are sized for.
+    jobs: int = 1
+
+    #: Per-phase wall-clock seconds of the most recent run (restore /
+    #: pre_window / window / tail), for the CLI summary.
     phase_seconds: dict = {}
 
     #: Fault-tolerance accounting of the most recent run (retries, worker
@@ -873,10 +886,13 @@ class ExecutionEngine:
     #: usage), ``phase_seconds``-style: observability only, never serialized.
     supervision: dict = {}
 
-    # Fault-tolerance knobs shared by the engine implementations.
+    _transport: DispatchTransport = InProcessTransport()
+    _start_method: Optional[str] = None
+    _max_retries: int = 3
+    _chunk_timeout: Optional[float] = None
+    _quarantine: bool = True
     _ledger_dir: Optional[str] = None
     _resume: bool = False
-    _quarantine: bool = True
     #: Directory for structured run-event logs (requires a ledger for keys).
     _runlog_dir: Optional[str] = None
 
@@ -889,7 +905,16 @@ class ExecutionEngine:
         on_progress: Optional[ProgressCallback] = None,
     ) -> CampaignResult:
         """Execute every experiment of one campaign and aggregate the outcome."""
-        raise NotImplementedError
+        job = WorkJob(
+            CAMPAIGN,
+            config.program,
+            provider,
+            config.campaign_id,
+            items=range(config.experiments),
+            context=(config, config.resolve_win_size(), bool(keep_records)),
+            meta={"campaign": config.campaign_id, "program": config.program},
+        )
+        return self._execute(job, on_progress)
 
     def run_errors(
         self,
@@ -903,118 +928,24 @@ class ExecutionEngine:
         """Execute deterministic single-bit errors; outcomes in input order.
 
         This is the execution path of exhaustive and pruned error-space
-        campaigns (:mod:`repro.errorspace`).  The base implementation runs
-        in-process — crash-guarded and, with a ledger directory configured,
-        resumable — while pooled engines override it with supervised chunked
-        dispatch.
+        campaigns (:mod:`repro.errorspace`).  Errors are sorted by injection
+        tick first and then cut into contiguous chunks, so consecutive
+        experiments share fast-forward checkpoints across chunk borders.
         """
-        telemetry = _RunTelemetry()
-        runner = provider(program)
-        total = len(errors)
-        stats = SupervisorStats()
-        # Global tick sort first, then contiguous chunks: consecutive
-        # experiments share fast-forward checkpoints across chunk borders.
-        order = sorted(range(total), key=lambda j: errors[j][0])
-        outcomes: List[Optional[Outcome]] = [None] * total
-        chunk = 256
-        ledger: Optional[ChunkLedger] = None
-        if self._ledger_dir is not None and total:
-            ledger = _open_errors_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=runner,
-                program=program,
-                technique=technique,
-                errors=errors,
-                chunk=chunk,
-            )
-            for start, entry in sorted(ledger.completed.items()):
-                values = entry["outcomes"]
-                for position, value in zip(order[start : start + len(values)], values):
-                    outcomes[position] = Outcome(value)
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = ledger.loaded_units if ledger is not None else 0
-        label = f"{program}/{technique}/error-space"
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
+        order = sorted(range(len(errors)), key=lambda j: errors[j][0])
+        job = WorkJob(
+            ERRORS,
+            program,
+            provider,
+            f"{program}/{technique}/error-space",
+            items=[errors[j] for j in order],
+            context=technique,
             meta={"program": program, "technique": technique},
         )
-        telemetry.started(kind="errors", total=total, engine=self.name, jobs=1)
-        telemetry.resume_replay(ledger)
-        phase_before = _phase_snapshot(runner)
-        guard = _SignalGuard()
-        guard.install()
-        interrupted = False
-        try:
-            abort_after = int(os.environ.get("REPRO_CHAOS_ABORT_AFTER_CHUNKS", "0") or 0)
-        except ValueError:
-            abort_after = 0
-        completed_chunks = 0
-        try:
-            for start, count in work:
-                positions = order[start : start + count]
-                batch = [errors[j] for j in positions]
-                if ledger is not None:
-                    ledger.record_grant(start, count)
-                telemetry.chunk_dispatched(start, count)
-                values = _guarded_error_values(
-                    runner, technique, batch, quarantine=self._quarantine, stats=stats
-                )
-                for position, value in zip(positions, values):
-                    outcomes[position] = Outcome(value)
-                if ledger is not None:
-                    ledger.record_done(start, count, {"outcomes": values})
-                done += count
-                telemetry.chunk_completed(start, count, done)
-                completed_chunks += 1
-                stats.chunks_completed += 1
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=label,
-                            done=done,
-                            total=total,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-                if guard.stop_requested or (
-                    abort_after and completed_chunks >= abort_after
-                ):
-                    interrupted = done < total
-                    break
-        finally:
-            guard.restore()
-            if ledger is not None:
-                ledger.close()
-        self.phase_seconds = _phase_delta(runner, phase_before)
-        stats.interrupted = interrupted
-        self.supervision = self._supervision_summary(stats, ledger, 0)
-        telemetry.finished(
-            status="interrupted" if interrupted else "finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=self.phase_seconds,
-            supervision=self.supervision,
-        )
-        if interrupted:
-            raise CampaignInterrupted(
-                self._interrupt_message(label, done, total, ledger),
-                done=done,
-                total=total,
-                resumable=ledger is not None,
-            )
-        if ledger is not None and total and done >= total:
-            ledger.compact(
-                [(0, total, {"outcomes": [outcomes[j].value for j in order]})]
-            )
+        values, _ = self._execute(job, on_progress)
+        outcomes: List[Optional[Outcome]] = [None] * len(errors)
+        for position, value in zip(order, values):
+            outcomes[position] = Outcome(value)
         return outcomes
 
     def plan_infer_map(self, program: str, *, provider: RunnerProvider):
@@ -1025,6 +956,129 @@ class ExecutionEngine:
         workers, so planning scales with ``--jobs`` exactly like execution.
         """
         return None
+
+    def _chunk_for(self, work: WorkKind, total: int) -> int:
+        low, high = work.chunk_bounds
+        return max(low, min(high, -(-total // (4 * self.jobs))))
+
+    def _warm(self, job: WorkJob) -> None:
+        """Prepare the dispatching process before chunks go out."""
+
+    def _execute(self, job: WorkJob, on_progress: Optional[ProgressCallback] = None):
+        """Run every unit of ``job`` and return the kind's joined body.
+
+        Opens the ledger (replaying what a resumed run already completed),
+        cuts the missing units into chunks, dispatches them through the
+        engine's transport while recording grants and completions, finishes
+        a degraded pool's leftovers in-process, fills quarantined chunks,
+        and publishes ``phase_seconds`` / ``supervision``.
+        """
+        telemetry = _RunTelemetry()
+        work, total = job.work, len(job.items)
+        chunk = self._chunk_for(work, total)
+        bodies: Dict[int, Any] = {}
+        ledger: Optional[ChunkLedger] = None
+        if self._ledger_dir is not None and work.identity is not None and total:
+            key = _run_key(
+                work.name,
+                _module_fingerprint(job.provider(job.program)),
+                work.identity(job),
+            )
+            ledger = ChunkLedger.open(
+                Path(self._ledger_dir),
+                key,
+                total=total,
+                meta={"kind": work.name, "campaign_id": job.label, "chunk": chunk},
+                resume=self._resume,
+            )
+            for start, payload in ledger.completed.items():
+                bodies[start] = work.from_record(job, payload)
+            spans = ledger.missing(chunk)
+        else:
+            spans = [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
+        started = time.monotonic()
+        done = ledger.loaded_units if ledger is not None else 0
+        telemetry.attach(self._runlog_dir, ledger, resume=self._resume, meta=job.meta)
+        telemetry.started(kind=work.name, total=total, engine=self.name, jobs=self.jobs)
+        telemetry.resume_replay(ledger)
+
+        def on_grant(task: ChunkTask) -> None:
+            if ledger is not None:
+                ledger.record_grant(task.chunk_id, task.size)
+            telemetry.chunk_dispatched(task.chunk_id, task.size)
+
+        def on_done(task: ChunkTask, body) -> None:
+            nonlocal done
+            bodies[task.chunk_id] = body
+            done += task.size
+            if ledger is not None:
+                ledger.record_done(task.chunk_id, task.size, work.to_record(body))
+            telemetry.chunk_completed(task.chunk_id, task.size, done)
+            if on_progress is not None:
+                elapsed = time.monotonic() - started
+                on_progress(EngineProgress(job.label, done, total, elapsed))
+
+        stats = SupervisorStats()
+        fallback_units = 0
+        try:
+            if spans:
+                self._warm(job)
+                request = DispatchRequest(
+                    job,
+                    [job.task(start, count) for start, count in spans],
+                    jobs=self.jobs,
+                    start_method=self._start_method,
+                    max_retries=self._max_retries,
+                    chunk_timeout=self._chunk_timeout,
+                    quarantine=self._quarantine,
+                    on_chunk_done=on_done,
+                    on_grant=on_grant,
+                    on_event=telemetry.supervisor_event,
+                )
+                outcome = self._transport.execute(request)
+                stats.merge(outcome.stats)
+                if outcome.degraded and outcome.unfinished and not stats.interrupted:
+                    units = sum(task.size for task in outcome.unfinished)
+                    warnings.warn(
+                        f"supervised worker pool for {job.label} degraded after "
+                        f"repeated worker crashes; finishing the remaining {units} "
+                        f"units serially in-process",
+                        RuntimeWarning,
+                        stacklevel=3,
+                    )
+                    local = InProcessTransport().execute(
+                        replace(request, tasks=outcome.unfinished)
+                    )
+                    stats.merge(local.stats)
+                    fallback_units = units - sum(task.size for task in local.unfinished)
+                if not stats.interrupted:
+                    for quarantined in outcome.quarantined:
+                        on_done(quarantined.task, work.crashed(job, quarantined.task))
+        finally:
+            if ledger is not None:
+                ledger.close()
+        stats.interrupted = stats.interrupted and done < total
+        self.phase_seconds = _sum_phases(work.phases(body) for body in bodies.values())
+        self.supervision = self._supervision_summary(stats, ledger, fallback_units)
+        telemetry.finished(
+            status="interrupted" if stats.interrupted else "finished",
+            done=done,
+            total=total,
+            seconds=time.monotonic() - started,
+            phase_seconds=self.phase_seconds,
+            supervision=self.supervision,
+        )
+        if stats.interrupted:
+            raise CampaignInterrupted(
+                self._interrupt_message(job.label, done, total, ledger),
+                done=done,
+                total=total,
+                resumable=ledger is not None,
+            )
+        merged = work.join(job, [bodies[start] for start in sorted(bodies)])
+        if ledger is not None and done >= total:
+            ledger.compact([(0, total, work.to_record(merged))])
+        return merged
 
     def _supervision_summary(
         self,
@@ -1039,6 +1093,9 @@ class ExecutionEngine:
         )
         summary["ledger_loaded_units"] = ledger.loaded_units if ledger is not None else 0
         summary["ledger_path"] = str(ledger.path) if ledger is not None else None
+        dist = getattr(self._transport, "stats", None)
+        if dist is not None:
+            summary["distributed"] = dist.as_dict()
         return summary
 
     @staticmethod
@@ -1070,9 +1127,9 @@ class ExecutionEngine:
 
 
 class SerialEngine(ExecutionEngine):
-    """Runs experiments one after another in the calling process.
+    """Runs every chunk in the calling process.
 
-    Shares the pooled engines' fault-tolerance surface where it makes sense
+    Shares the pooled engine's fault-tolerance surface where it makes sense
     without workers: poisoned experiments are bisected and quarantined as
     ``crashed`` (``quarantine=False`` raises instead), completed chunks are
     ledgered when ``ledger_dir`` is set, and SIGINT/SIGTERM finish the
@@ -1101,139 +1158,19 @@ class SerialEngine(ExecutionEngine):
         self._resume = resume
         self._runlog_dir = runlog_dir
 
-    def run(
-        self,
-        config: CampaignConfig,
-        *,
-        provider: RunnerProvider,
-        keep_records: bool = True,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> CampaignResult:
-        telemetry = _RunTelemetry()
-        runner = provider(config.program)
-        resolved = config.resolve_win_size()
-        total = config.experiments
-        stats = SupervisorStats()
-        chunk = self._interval
-        partials: Dict[int, CampaignResult] = {}
-        ledger: Optional[ChunkLedger] = None
-        if self._ledger_dir is not None:
-            ledger = _open_campaign_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=runner,
-                config=config,
-                resolved_win_size=resolved,
-                keep_records=keep_records,
-                chunk=chunk,
-            )
-            for start, payload in ledger.completed.items():
-                partials[start] = CampaignResult.from_partial_payload(
-                    config, resolved, payload
-                )
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = sum(partial.experiments for partial in partials.values())
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"campaign": config.campaign_id, "program": config.program},
-        )
-        telemetry.started(
-            kind="campaign", total=total, engine=self.name, jobs=1
-        )
-        telemetry.resume_replay(ledger)
-        guard = _SignalGuard()
-        guard.install()
-        interrupted = False
-        try:
-            abort_after = int(os.environ.get("REPRO_CHAOS_ABORT_AFTER_CHUNKS", "0") or 0)
-        except ValueError:
-            abort_after = 0
-        completed_chunks = 0
-        try:
-            for start, count in work:
-                if ledger is not None:
-                    ledger.record_grant(start, count)
-                telemetry.chunk_dispatched(start, count)
-                partial = _guarded_experiment_batch(
-                    runner,
-                    config,
-                    resolved,
-                    start,
-                    count,
-                    keep_records=keep_records,
-                    quarantine=self._quarantine,
-                    stats=stats,
-                )
-                partials[start] = partial
-                if ledger is not None:
-                    ledger.record_done(start, count, partial.to_partial_payload())
-                done += count
-                telemetry.chunk_completed(start, count, done)
-                completed_chunks += 1
-                stats.chunks_completed += 1
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=config.campaign_id,
-                            done=done,
-                            total=total,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-                if guard.stop_requested or (
-                    abort_after and completed_chunks >= abort_after
-                ):
-                    interrupted = done < total
-                    break
-        finally:
-            guard.restore()
-            if ledger is not None:
-                ledger.close()
-        stats.interrupted = interrupted
-        self.supervision = self._supervision_summary(stats, ledger, 0)
-        telemetry.finished(
-            status="interrupted" if interrupted else "finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=_merged_phase_seconds(partials.values()),
-            supervision=self.supervision,
-        )
-        if interrupted:
-            raise CampaignInterrupted(
-                self._interrupt_message(config.campaign_id, done, total, ledger),
-                done=done,
-                total=total,
-                resumable=ledger is not None,
-            )
-        result = CampaignResult(config=config, resolved_win_size=resolved)
-        for start in sorted(partials):
-            result.merge(partials[start])
-        if ledger is not None and total and done >= total:
-            ledger.compact([(0, total, result.to_partial_payload())])
-        return result
+    def _chunk_for(self, work: WorkKind, total: int) -> int:
+        # ``progress_interval`` sizes sampled-campaign chunks, hence progress ticks.
+        return self._interval if work is CAMPAIGN else super()._chunk_for(work, total)
 
 
 class MultiprocessEngine(ExecutionEngine):
-    """Fans experiment batches out to supervised worker processes.
+    """Fans chunks out to supervised worker processes (or worker hosts).
 
     Each worker process holds exactly one compiled workload + golden trace;
     experiments are dispatched as contiguous index chunks and the partial
     results are merged in index order, so the assembled campaign result is
     bit-identical to a :class:`SerialEngine` run of the same config — chunk
     retries, worker restarts, bisection and resume cannot change the bytes.
-
-    ``supervised=False`` falls back to the original blind ``Pool.imap``
-    dispatch (no crash recovery, no ledger) — kept as the baseline the
-    supervised path's overhead is benchmarked against, and as an escape
-    hatch.
 
     The default start method is ``fork`` where available (Linux), which lets
     workers inherit already-compiled workloads and makes arbitrary provider
@@ -1249,7 +1186,6 @@ class MultiprocessEngine(ExecutionEngine):
         *,
         chunk_size: Optional[int] = None,
         start_method: Optional[str] = None,
-        supervised: bool = True,
         max_retries: int = 3,
         chunk_timeout: Optional[float] = None,
         quarantine: bool = True,
@@ -1275,7 +1211,6 @@ class MultiprocessEngine(ExecutionEngine):
         self.jobs = resolved_jobs
         self._chunk_size = chunk_size
         self._start_method = start_method
-        self._supervised = supervised
         self._max_retries = max_retries
         self._chunk_timeout = chunk_timeout
         self._quarantine = quarantine
@@ -1287,7 +1222,7 @@ class MultiprocessEngine(ExecutionEngine):
         # for the local pool, "distributed" for the socket coordinator).
         self.name = self._transport.name
 
-    def _warm_provider(self, provider: RunnerProvider, program: str) -> None:
+    def _warm(self, job: WorkJob) -> None:
         """Warm the parent once before dispatch.
 
         Under ``fork`` this lets workers inherit the compiled workload,
@@ -1298,74 +1233,30 @@ class MultiprocessEngine(ExecutionEngine):
         """
         from repro import artifacts
 
+        provider = job.provider
         if hasattr(provider, "prepare"):
             provider.prepare()
         cache_active = artifacts.active_cache() is not None
         if self._start_method == "fork" or cache_active:
-            runner = provider(program)
+            runner = provider(job.program)
             if cache_active:
                 persist_runner_artifacts(runner)
+        if job.work.warm is not None:
+            job.work.warm(job.program)
 
-    def _experiment_chunk_size(self, total: int) -> int:
-        chunk = self._chunk_size
-        if chunk is None:
-            # Aim for ~4 batches per worker so stragglers rebalance, capped to
-            # keep per-batch IPC payloads small.
-            chunk = max(1, min(64, -(-total // (self.jobs * 4))))
-        return chunk
-
-    def _batches(self, total: int) -> List[Tuple[int, int]]:
-        chunk = self._experiment_chunk_size(total)
-        return [(start, min(chunk, total - start)) for start in range(0, total, chunk)]
-
-    def _dispatch(
-        self,
-        *,
-        kind: str,
-        program: str,
-        provider: RunnerProvider,
-        initializer: Callable,
-        tasks: List[ChunkTask],
-        split: Optional[Callable[[ChunkTask], List[ChunkTask]]],
-        on_chunk_done=None,
-        on_grant=None,
-        on_event=None,
-    ):
-        """Execute one chunked round through the configured transport."""
-        request = DispatchRequest(
-            kind=kind,
-            program=program,
-            provider=provider,
-            initializer=initializer,
-            tasks=tasks,
-            split=split,
-            jobs=self.jobs,
-            start_method=self._start_method,
-            max_retries=self._max_retries,
-            chunk_timeout=self._chunk_timeout,
-            quarantine=self._quarantine,
-            on_chunk_done=on_chunk_done,
-            on_grant=on_grant,
-            on_event=on_event,
-        )
-        return self._transport.execute(request)
+    def _chunk_for(self, work: WorkKind, total: int) -> int:
+        # ``chunk_size`` pins experiment chunks; inference units are orders
+        # of magnitude cheaper and keep the table's sizing.
+        if self._chunk_size is not None and work is not INFER:
+            return self._chunk_size
+        return super()._chunk_for(work, total)
 
     def close(self) -> None:
         self._transport.close()
 
-    def _supervision_summary(
-        self,
-        stats: SupervisorStats,
-        ledger: Optional[ChunkLedger],
-        serial_fallback_units: int,
-    ) -> dict:
-        summary = super()._supervision_summary(stats, ledger, serial_fallback_units)
-        dist = getattr(self._transport, "stats", None)
-        if dist is not None:
-            summary["distributed"] = dist.as_dict()
-        return summary
-
-    # -- sampled campaigns --------------------------------------------------------
+    # The entry points are spelled out in this class body, delegating to the
+    # shared driver, so instrumentation that wraps MultiprocessEngine's own
+    # methods (the end-to-end benchmark's tracer) sees every pooled run.
 
     def run(
         self,
@@ -1375,224 +1266,9 @@ class MultiprocessEngine(ExecutionEngine):
         keep_records: bool = True,
         on_progress: Optional[ProgressCallback] = None,
     ) -> CampaignResult:
-        if not self._supervised:
-            return self._run_pool(
-                config,
-                provider=provider,
-                keep_records=keep_records,
-                on_progress=on_progress,
-            )
-        telemetry = _RunTelemetry()
-        resolved = config.resolve_win_size()
-        total = config.experiments
-        chunk = self._experiment_chunk_size(total)
-        self._warm_provider(provider, config.program)
-        partials: Dict[int, CampaignResult] = {}
-        ledger: Optional[ChunkLedger] = None
-        if self._ledger_dir is not None:
-            ledger = _open_campaign_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=provider(config.program),
-                config=config,
-                resolved_win_size=resolved,
-                keep_records=keep_records,
-                chunk=chunk,
-            )
-            for start, payload in ledger.completed.items():
-                partials[start] = CampaignResult.from_partial_payload(
-                    config, resolved, payload
-                )
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = sum(partial.experiments for partial in partials.values())
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"campaign": config.campaign_id, "program": config.program},
+        return super().run(
+            config, provider=provider, keep_records=keep_records, on_progress=on_progress
         )
-        telemetry.started(
-            kind="campaign", total=total, engine=self.name, jobs=self.jobs
-        )
-        telemetry.resume_replay(ledger)
-
-        def emit_progress() -> None:
-            if on_progress is not None:
-                on_progress(
-                    EngineProgress(
-                        campaign_id=config.campaign_id,
-                        done=done,
-                        total=total,
-                        elapsed_seconds=time.monotonic() - started,
-                    )
-                )
-
-        tasks = [
-            ChunkTask(
-                start,
-                _experiment_chunk,
-                (config, resolved, start, count, keep_records),
-                count,
-            )
-            for start, count in work
-        ]
-
-        def on_done(task: ChunkTask, partial: CampaignResult) -> None:
-            nonlocal done
-            partials[task.chunk_id] = partial
-            done += task.size
-            if ledger is not None:
-                ledger.record_done(task.chunk_id, task.size, partial.to_partial_payload())
-            telemetry.chunk_completed(task.chunk_id, task.size, done)
-            emit_progress()
-
-        def on_grant(task: ChunkTask) -> None:
-            if ledger is not None:
-                ledger.record_grant(task.chunk_id, task.size)
-            telemetry.chunk_dispatched(task.chunk_id, task.size)
-
-        stats = SupervisorStats()
-        serial_fallback_units = 0
-        try:
-            if tasks:
-                outcome = self._dispatch(
-                    kind="campaign",
-                    program=config.program,
-                    provider=provider,
-                    initializer=_initialise_supervised_runner,
-                    tasks=tasks,
-                    split=_split_experiment_task,
-                    on_chunk_done=on_done,
-                    on_grant=on_grant,
-                    on_event=telemetry.supervisor_event,
-                )
-                stats.merge(outcome.stats)
-                if outcome.interrupted and done < total:
-                    self.supervision = self._supervision_summary(
-                        stats, ledger, serial_fallback_units
-                    )
-                    telemetry.finished(
-                        status="interrupted",
-                        done=done,
-                        total=total,
-                        seconds=time.monotonic() - started,
-                        phase_seconds=_merged_phase_seconds(partials.values()),
-                        supervision=self.supervision,
-                    )
-                    raise CampaignInterrupted(
-                        self._interrupt_message(config.campaign_id, done, total, ledger),
-                        done=done,
-                        total=total,
-                        resumable=ledger is not None,
-                    )
-                if outcome.degraded and outcome.unfinished:
-                    serial_units = sum(task.size for task in outcome.unfinished)
-                    warnings.warn(
-                        f"supervised worker pool for {config.campaign_id} degraded "
-                        f"after repeated worker crashes; finishing the remaining "
-                        f"{serial_units} experiments serially in-process",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    runner = provider(config.program)
-                    for task in outcome.unfinished:
-                        _, _, start, count, _ = task.payload
-                        partial = _guarded_experiment_batch(
-                            runner,
-                            config,
-                            resolved,
-                            start,
-                            count,
-                            keep_records=keep_records,
-                            quarantine=self._quarantine,
-                            stats=stats,
-                        )
-                        on_done(task, partial)
-                        serial_fallback_units += task.size
-                if outcome.quarantined:
-                    runner = provider(config.program)
-                    for quarantined in outcome.quarantined:
-                        _, _, start, count, _ = quarantined.task.payload
-                        partial = _crashed_partial(
-                            runner,
-                            config,
-                            resolved,
-                            start,
-                            count,
-                            keep_records=keep_records,
-                        )
-                        on_done(quarantined.task, partial)
-        finally:
-            if ledger is not None:
-                ledger.close()
-        self.supervision = self._supervision_summary(stats, ledger, serial_fallback_units)
-        telemetry.finished(
-            status="finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=_merged_phase_seconds(partials.values()),
-            supervision=self.supervision,
-        )
-        result = CampaignResult(config=config, resolved_win_size=resolved)
-        for start in sorted(partials):
-            result.merge(partials[start])
-        if ledger is not None and total and done >= total:
-            ledger.compact([(0, total, result.to_partial_payload())])
-        return result
-
-    def _run_pool(
-        self,
-        config: CampaignConfig,
-        *,
-        provider: RunnerProvider,
-        keep_records: bool = True,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> CampaignResult:
-        """Legacy blind ``Pool.imap`` dispatch (``supervised=False``)."""
-        resolved = config.resolve_win_size()
-        result = CampaignResult(config=config, resolved_win_size=resolved)
-        batches = self._batches(config.experiments)
-        tasks = [
-            (config, resolved, start, count, keep_records) for start, count in batches
-        ]
-        context = multiprocessing.get_context(self._start_method)
-        self._warm_provider(provider, config.program)
-        started = time.monotonic()
-        done = 0
-        with context.Pool(
-            processes=min(self.jobs, len(batches)),
-            initializer=_initialise_worker,
-            initargs=(provider, config.program),
-        ) as pool:
-            # imap yields partials in submission order, which keeps the merged
-            # record stream identical to a serial run.
-            for partial in pool.imap(_run_worker_batch, tasks):
-                result.merge(partial)
-                done += partial.experiments
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=config.campaign_id,
-                            done=done,
-                            total=config.experiments,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-        return result
-
-    # -- exhaustive error spaces --------------------------------------------------
-
-    def _error_chunk_size(self, total: int) -> int:
-        chunk = self._chunk_size
-        if chunk is None:
-            chunk = max(32, min(512, -(-total // (self.jobs * 4))))
-        return chunk
 
     def run_errors(
         self,
@@ -1603,232 +1279,12 @@ class MultiprocessEngine(ExecutionEngine):
         provider: RunnerProvider,
         on_progress: Optional[ProgressCallback] = None,
     ) -> List[Outcome]:
-        if not self._supervised:
-            return self._run_errors_pool(
-                program, technique, errors, provider=provider, on_progress=on_progress
-            )
-        total = len(errors)
-        if total == 0:
-            return []
-        telemetry = _RunTelemetry()
-        # Tick-sorted contiguous chunks: every worker's batch is a dense
-        # slice of injection times, maximising checkpoint reuse per process.
-        order = sorted(range(total), key=lambda j: errors[j][0])
-        chunk = self._error_chunk_size(total)
-        self._warm_provider(provider, program)
-        outcomes: List[Optional[Outcome]] = [None] * total
-        label = f"{program}/{technique}/error-space"
-        ledger: Optional[ChunkLedger] = None
-        loaded_units = 0
-        if self._ledger_dir is not None:
-            ledger = _open_errors_ledger(
-                self._ledger_dir,
-                resume=self._resume,
-                runner=provider(program),
-                program=program,
-                technique=technique,
-                errors=errors,
-                chunk=chunk,
-            )
-            for start, entry in sorted(ledger.completed.items()):
-                values = entry["outcomes"]
-                for position, value in zip(order[start : start + len(values)], values):
-                    outcomes[position] = Outcome(value)
-            loaded_units = ledger.loaded_units
-            work = ledger.missing(chunk)
-        else:
-            work = [
-                (start, min(chunk, total - start)) for start in range(0, total, chunk)
-            ]
-        started = time.monotonic()
-        done = loaded_units
-        phase_totals: dict = {}
-        telemetry.attach(
-            self._runlog_dir,
-            ledger,
-            resume=self._resume,
-            meta={"program": program, "technique": technique},
+        return super().run_errors(
+            program, technique, errors, provider=provider, on_progress=on_progress
         )
-        telemetry.started(kind="errors", total=total, engine=self.name, jobs=self.jobs)
-        telemetry.resume_replay(ledger)
-
-        def emit_progress() -> None:
-            if on_progress is not None:
-                on_progress(
-                    EngineProgress(
-                        campaign_id=label,
-                        done=done,
-                        total=total,
-                        elapsed_seconds=time.monotonic() - started,
-                    )
-                )
-
-        tasks = [
-            ChunkTask(
-                start,
-                _error_chunk,
-                (technique, [errors[j] for j in order[start : start + count]]),
-                count,
-            )
-            for start, count in work
-        ]
-
-        def apply_values(start: int, values: List[str]) -> None:
-            for position, value in zip(order[start : start + len(values)], values):
-                outcomes[position] = Outcome(value)
-
-        def on_done(task: ChunkTask, body) -> None:
-            nonlocal done
-            values, phases = body
-            apply_values(task.chunk_id, values)
-            for phase, seconds in phases.items():
-                phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
-            if ledger is not None:
-                ledger.record_done(task.chunk_id, task.size, {"outcomes": values})
-            done += task.size
-            telemetry.chunk_completed(task.chunk_id, task.size, done)
-            emit_progress()
-
-        def on_grant(task: ChunkTask) -> None:
-            if ledger is not None:
-                ledger.record_grant(task.chunk_id, task.size)
-            telemetry.chunk_dispatched(task.chunk_id, task.size)
-
-        stats = SupervisorStats()
-        serial_fallback_units = 0
-        try:
-            if tasks:
-                outcome = self._dispatch(
-                    kind="errors",
-                    program=program,
-                    provider=provider,
-                    initializer=_initialise_supervised_runner,
-                    tasks=tasks,
-                    split=_split_error_task,
-                    on_chunk_done=on_done,
-                    on_grant=on_grant,
-                    on_event=telemetry.supervisor_event,
-                )
-                stats.merge(outcome.stats)
-                if outcome.interrupted and done < total:
-                    self.phase_seconds = phase_totals
-                    self.supervision = self._supervision_summary(
-                        stats, ledger, serial_fallback_units
-                    )
-                    telemetry.finished(
-                        status="interrupted",
-                        done=done,
-                        total=total,
-                        seconds=time.monotonic() - started,
-                        phase_seconds=phase_totals,
-                        supervision=self.supervision,
-                    )
-                    raise CampaignInterrupted(
-                        self._interrupt_message(label, done, total, ledger),
-                        done=done,
-                        total=total,
-                        resumable=ledger is not None,
-                    )
-                if outcome.degraded and outcome.unfinished:
-                    serial_units = sum(task.size for task in outcome.unfinished)
-                    warnings.warn(
-                        f"supervised worker pool for {label} degraded after "
-                        f"repeated worker crashes; finishing the remaining "
-                        f"{serial_units} errors serially in-process",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-                    runner = provider(program)
-                    for task in outcome.unfinished:
-                        technique_name, batch = task.payload
-                        values = _guarded_error_values(
-                            runner,
-                            technique_name,
-                            batch,
-                            quarantine=self._quarantine,
-                            stats=stats,
-                        )
-                        on_done(task, (values, {}))
-                        serial_fallback_units += task.size
-                if outcome.quarantined:
-                    for quarantined in outcome.quarantined:
-                        values = [Outcome.CRASHED.value] * quarantined.task.size
-                        on_done(quarantined.task, (values, {}))
-        finally:
-            if ledger is not None:
-                ledger.close()
-        self.phase_seconds = phase_totals
-        self.supervision = self._supervision_summary(stats, ledger, serial_fallback_units)
-        telemetry.finished(
-            status="finished",
-            done=done,
-            total=total,
-            seconds=time.monotonic() - started,
-            phase_seconds=phase_totals,
-            supervision=self.supervision,
-        )
-        if ledger is not None and total and done >= total:
-            ledger.compact(
-                [(0, total, {"outcomes": [outcomes[j].value for j in order]})]
-            )
-        return outcomes
-
-    def _run_errors_pool(
-        self,
-        program: str,
-        technique: str,
-        errors: Sequence[Tuple[int, Optional[int], int]],
-        *,
-        provider: RunnerProvider,
-        on_progress: Optional[ProgressCallback] = None,
-    ) -> List[Outcome]:
-        """Legacy blind ``Pool.imap`` dispatch (``supervised=False``)."""
-        total = len(errors)
-        if total == 0:
-            return []
-        order = sorted(range(total), key=lambda j: errors[j][0])
-        chunk = self._error_chunk_size(total)
-        tasks = [
-            (technique, [errors[j] for j in order[start : start + chunk]])
-            for start in range(0, total, chunk)
-        ]
-        context = multiprocessing.get_context(self._start_method)
-        self._warm_provider(provider, program)
-        outcomes: List[Optional[Outcome]] = [None] * total
-        started = time.monotonic()
-        done = 0
-        label = f"{program}/{technique}/error-space"
-        phase_totals: dict = {}
-        with context.Pool(
-            processes=min(self.jobs, len(tasks)),
-            initializer=_initialise_worker,
-            initargs=(provider, program),
-        ) as pool:
-            for task_index, (batch_outcomes, batch_phases) in enumerate(
-                pool.imap(_run_worker_error_batch, tasks)
-            ):
-                positions = order[task_index * chunk : task_index * chunk + len(batch_outcomes)]
-                for position, outcome in zip(positions, batch_outcomes):
-                    outcomes[position] = outcome
-                for phase, seconds in batch_phases.items():
-                    phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
-                done += len(batch_outcomes)
-                if on_progress is not None:
-                    on_progress(
-                        EngineProgress(
-                            campaign_id=label,
-                            done=done,
-                            total=total,
-                            elapsed_seconds=time.monotonic() - started,
-                        )
-                    )
-        self.phase_seconds = phase_totals
-        return outcomes
-
-    # -- planner inference --------------------------------------------------------
 
     def plan_infer_map(self, program: str, *, provider: RunnerProvider):
-        """Chunk-dispatch the planner's inference pass to supervised workers.
+        """Chunk-dispatch the planner's inference pass to the workers.
 
         Each worker builds (or cache-loads) the workload's def-use index and
         inference engine once, then maps deterministic ``(tick, slot, bit)``
@@ -1839,7 +1295,6 @@ class MultiprocessEngine(ExecutionEngine):
         registry programs are dispatchable (workers resolve the index by
         name).
         """
-
         from repro import artifacts
 
         if self._start_method != "fork" and artifacts.active_cache() is None:
@@ -1848,132 +1303,9 @@ class MultiprocessEngine(ExecutionEngine):
             # scratch, which costs more than it saves.  Plan serially.
             return None
 
-        def infer_map(errors):
-            total = len(errors)
-            if total == 0:
-                return []
-            triples = [
-                (error.dynamic_index, error.slot, error.bit) for error in errors
-            ]
-            chunk = max(1024, min(16384, -(-total // (self.jobs * 4))))
-            self._warm_provider(provider, program)
-            # Make sure workers can load the def-use index from the cache
-            # instead of replaying the golden trace per process.
-            if artifacts.active_cache() is not None:
-                from repro.programs.registry import get_defuse_index
-
-                get_defuse_index(program)
-            context = multiprocessing.get_context(self._start_method)
-            if not self._supervised:
-                outcomes: List[Optional[Outcome]] = []
-                with context.Pool(
-                    processes=min(self.jobs, -(-total // chunk)),
-                    initializer=_initialise_infer_worker,
-                    initargs=(provider, program),
-                ) as pool:
-                    for batch in pool.imap(
-                        _run_worker_infer_batch,
-                        [triples[start : start + chunk] for start in range(0, total, chunk)],
-                    ):
-                        outcomes.extend(batch)
-                return outcomes
-            tasks = [
-                ChunkTask(
-                    start,
-                    _infer_chunk,
-                    triples[start : start + chunk],
-                    min(chunk, total - start),
-                )
-                for start in range(0, total, chunk)
-            ]
-            chunks: Dict[int, List[Optional[Outcome]]] = {}
-            outcome = self._dispatch(
-                kind="infer",
-                program=program,
-                provider=provider,
-                initializer=_initialise_supervised_inference,
-                tasks=tasks,
-                split=_split_infer_task,
-                on_chunk_done=lambda task, body: chunks.__setitem__(task.chunk_id, body),
-            )
-            if outcome.interrupted and (outcome.unfinished or outcome.quarantined):
-                raise CampaignInterrupted(
-                    f"{program} inference pass interrupted "
-                    f"({len(chunks)}/{len(tasks)} chunks done); planning has no "
-                    f"ledger — re-run to restart the pass",
-                    done=sum(len(body) for body in chunks.values()),
-                    total=total,
-                    resumable=False,
-                )
-            for quarantined in outcome.quarantined:
-                # Unprovable by crashing worker: let the planner execute them.
-                chunks[quarantined.task.chunk_id] = [None] * quarantined.task.size
-            if outcome.degraded and outcome.unfinished:
-                warnings.warn(
-                    f"supervised inference pool for {program} degraded after "
-                    f"repeated worker crashes; finishing inference in-process",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                engine = _initialise_supervised_inference(provider, program)
-                for task in outcome.unfinished:
-                    chunks[task.chunk_id] = _infer_chunk(engine, task.payload)
-            assembled: List[Optional[Outcome]] = []
-            for start in sorted(chunks):
-                assembled.extend(chunks[start])
-            return assembled
+        def infer_map(errors) -> List[Optional[Outcome]]:
+            triples = [(error.dynamic_index, error.slot, error.bit) for error in errors]
+            job = WorkJob(INFER, program, provider, f"{program} inference pass", triples)
+            return self._execute(job)
 
         return infer_map
-
-
-# -- legacy pool worker plumbing ----------------------------------------------------
-#
-# Used by the ``supervised=False`` escape hatch (and the overhead benchmark).
-# Workers are initialised once per process: the provider compiles the
-# workload, decodes it into executable form and profiles the golden trace,
-# then every batch reuses all three.  Module-level state is required because
-# multiprocessing initialisers cannot return values.
-
-_WORKER_RUNNER: Optional[ExperimentRunner] = None
-
-
-def _initialise_worker(provider: Optional[RunnerProvider], program_name: str) -> None:
-    global _WORKER_RUNNER
-    _WORKER_RUNNER = (provider or registry_provider)(program_name)
-
-
-def _run_worker_batch(
-    task: Tuple[CampaignConfig, int, int, int, bool]
-) -> CampaignResult:
-    config, resolved_win_size, start, count, keep_records = task
-    assert _WORKER_RUNNER is not None, "worker pool was not initialised"
-    return run_experiment_batch(
-        _WORKER_RUNNER, config, resolved_win_size, start, count, keep_records=keep_records
-    )
-
-
-def _run_worker_error_batch(
-    task: Tuple[str, List[Tuple[int, Optional[int], int]]]
-) -> Tuple[List[Outcome], dict]:
-    technique, errors = task
-    assert _WORKER_RUNNER is not None, "worker pool was not initialised"
-    phase_before = _phase_snapshot(_WORKER_RUNNER)
-    outcomes = run_error_batch(_WORKER_RUNNER, technique, errors)
-    return outcomes, _phase_delta(_WORKER_RUNNER, phase_before)
-
-
-_WORKER_INFERENCE = None
-
-
-def _initialise_infer_worker(provider, program_name: str) -> None:
-    """Build (or cache-load) the def-use index + inference engine once."""
-    global _WORKER_INFERENCE
-    _WORKER_INFERENCE = _initialise_supervised_inference(provider, program_name)
-
-
-def _run_worker_infer_batch(
-    errors: List[Tuple[int, Optional[int], int]]
-) -> List[Optional[Outcome]]:
-    engine = _WORKER_INFERENCE
-    assert engine is not None, "inference worker pool was not initialised"
-    return _infer_chunk(engine, errors)

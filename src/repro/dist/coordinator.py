@@ -1,33 +1,37 @@
-"""Fault-tolerant lease coordinator: the multi-host dispatch transport.
+"""Fault-tolerant lease coordinator: the socket transport for worker hosts.
 
 :class:`CoordinatorTransport` implements the engine's
 :class:`~repro.campaign.engine.DispatchTransport` seam over a TCP listener.
 Worker-host agents (:mod:`repro.dist.worker`) connect, announce their
-capacity, and *pull* work: the coordinator grants deterministic, tick-sorted
-chunk ranges under expiring leases and records completions through the
-engine's callbacks — which fsync the same write-ahead chunk ledger the local
-path uses, so coordinator crash recovery is plain ``--resume``.
-
-Robustness model (mirrors the single-host supervisor, host-granular):
+capacity, and *pull* work.  Like the pipe transport
+(:class:`~repro.campaign.supervisor.ChunkSupervisor`), it moves chunks under
+the shared :class:`~repro.campaign.scheduler.ChunkScheduler`, which owns the
+pending queue, the retry/bisect/quarantine escalation, EWMA deadlines,
+first-write-wins completion and graceful stop; completions reach the
+engine's callbacks, which fsync the same write-ahead chunk ledger the local
+path uses, so coordinator crash recovery is plain ``--resume``.  What is
+left here is hosts and leases:
 
 * a **lease** is one chunk granted to one host; it expires when the host
-  stops heartbeating (soft TTL) or blows its execution deadline (hard
-  deadline, EWMA-derived like the supervisor's), and the chunk is re-issued
-  — preferring a different host;
-* a host that disconnects, dies or partitions has all its leases re-issued
-  with the supervisor's retry/bisect/quarantine escalation;
-* duplicate completions (a re-issued chunk finishing twice) resolve
-  first-recorded-wins: the ledger fsync inside ``on_chunk_done`` is the
-  authority, later arrivals are dropped as ``duplicate_completion`` events;
+  stops heartbeating (soft TTL, ``lease_ttl``; hosts heartbeat every third
+  of it) or blows its execution deadline (the scheduler's, scaled by the
+  host's grant batch), and the chunk goes back to the scheduler as a
+  failure — re-issued preferring a different host;
+* a host that disconnects, dies or partitions has all its leases revoked
+  the same way;
+* a completion arriving for an expired lease still counts when it is the
+  first for its chunk (the chunk is withdrawn from the queue or from the
+  host it was re-issued to); later arrivals are dropped as
+  ``duplicate_completion`` events;
 * hosts may join or rejoin mid-run and are granted work immediately;
 * if no host is serving and nothing is in flight for
   ``local_fallback_after`` seconds, the remaining chunks run on an
   in-process :class:`~repro.campaign.engine.SupervisedPoolTransport` —
   a coordinator with no cluster degrades to the ordinary local engine;
-* SIGINT/SIGTERM stop granting, drain in-flight leases, tell connected
-  hosts to stand down, and return with ``interrupted`` set so the engine
-  raises :class:`~repro.errors.CampaignInterrupted` (the CLI then prints
-  the exact ``--resume`` command and exits 130).
+* on SIGINT/SIGTERM connected hosts are told to stand down once in-flight
+  leases drain, and the engine raises
+  :class:`~repro.errors.CampaignInterrupted` (the CLI then prints the exact
+  ``--resume`` command and exits 130).
 
 Determinism: chunks are location-independent (derived seeds, tick-sorted
 payloads) and merge by start offset, so *which* host ran a chunk — or how
@@ -38,26 +42,19 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import queue
 import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.campaign.engine import (
     DispatchRequest,
     DispatchTransport,
     SupervisedPoolTransport,
 )
-from repro.campaign.supervisor import (
-    CHAOS_ABORT_ENV,
-    ChunkTask,
-    QuarantinedChunk,
-    SupervisedRun,
-    _SignalGuard,
-)
+from repro.campaign.scheduler import ChunkScheduler, ChunkTask, SupervisedRun
 from repro.dist.protocol import (
     MSG_DONE,
     MSG_FAIL,
@@ -75,8 +72,11 @@ from repro.dist.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.errors import CampaignExecutionError
 from repro.telemetry import metrics as telemetry_metrics
+
+
+#: Tells a host the round was interrupted (it re-dials, in case of ``--resume``).
+_STAND_DOWN_INTERRUPTED = {"type": MSG_STAND_DOWN, "final": False, "reason": "interrupted"}
 
 
 class _Host:
@@ -156,27 +156,13 @@ class CoordinatorTransport(DispatchTransport):
         port: int = 0,
         *,
         lease_ttl: float = 15.0,
-        heartbeat_interval: Optional[float] = None,
         local_fallback_after: float = 30.0,
-        backoff_base: float = 0.1,
-        backoff_cap: float = 5.0,
-        deadline_factor: float = 8.0,
-        deadline_floor: float = 5.0,
-        initial_deadline: float = 120.0,
     ) -> None:
         self._listener = socket.create_server((bind, port))
         self.address: Tuple[str, int] = self._listener.getsockname()[:2]
         self.lease_ttl = max(0.2, lease_ttl)
-        self.heartbeat_interval = heartbeat_interval or max(
-            0.1, self.lease_ttl / 3.0
-        )
+        self.heartbeat_interval = max(0.1, self.lease_ttl / 3.0)
         self.local_fallback_after = local_fallback_after
-        self._backoff_base = backoff_base
-        self._backoff_cap = backoff_cap
-        self._deadline_factor = deadline_factor
-        self._deadline_floor = deadline_floor
-        self._initial_deadline = initial_deadline
-        self._unit_seconds: Optional[float] = None
         self._events: "queue.Queue" = queue.Queue()
         self._hosts: Dict[int, _Host] = {}
         self._hosts_lock = threading.Lock()
@@ -272,206 +258,84 @@ class CoordinatorTransport(DispatchTransport):
         except OSError:
             pass
 
-    # -- deadline model (same EWMA discipline as the supervisor) -------------------
-
-    def _deadline(self, request: DispatchRequest, task: ChunkTask, now: float, batch: int) -> float:
-        if request.chunk_timeout is not None:
-            return now + request.chunk_timeout
-        if self._unit_seconds is None:
-            return now + self._initial_deadline
-        # Worst case the host runs its whole grant batch sequentially before
-        # this lease; scale the allowance so parallel agents are never
-        # punished for honest queueing.
-        expected = self._unit_seconds * max(1, task.size) * max(1, batch)
-        return now + max(self._deadline_floor, self._deadline_factor * expected)
-
-    def _observe(self, lease: _Lease, now: float) -> None:
-        sample = max(1e-6, (now - lease.granted_at) / max(1, lease.task.size))
-        if self._unit_seconds is None:
-            self._unit_seconds = sample
-        else:
-            self._unit_seconds += 0.3 * (sample - self._unit_seconds)
-
     # -- the dispatch round --------------------------------------------------------
 
     def execute(self, request: DispatchRequest) -> SupervisedRun:
         self._round += 1
-        run = SupervisedRun()
-        stats = run.stats
-        pending: List[ChunkTask] = sorted(request.tasks, key=lambda t: t.chunk_id)
+        scheduler = ChunkScheduler.for_request(request)
         leases: Dict[int, _Lease] = {}
-        completed: set = set()
         #: chunk_id -> host_id of the last host that failed it (for re-issue
         #: placement: prefer a different host when one exists).
         last_failed: Dict[int, int] = {}
-        started = time.monotonic()
-        last_activity = started
-        try:
-            abort_after = int(os.environ.get(CHAOS_ABORT_ENV, "0") or 0)
-        except ValueError:
-            abort_after = 0
-        guard = _SignalGuard()
-        guard.install()
+        last_activity = time.monotonic()
 
-        def emit(event_type: str, **fields) -> None:
-            if request.on_event is None:
-                return
-            try:
-                request.on_event(event_type, **fields)
-            except Exception:
-                pass
+        def release(lease: _Lease) -> None:
+            leases.pop(lease.lease_id, None)
+            lease.host.leases.pop(lease.lease_id, None)
 
-        def requeue(task: ChunkTask) -> None:
-            # Keep pending sorted by chunk offset so re-issued work goes back
-            # out ahead of untouched higher offsets rather than at the tail.
-            pending.append(task)
-            pending.sort(key=lambda t: t.chunk_id)
+        def revoke(lease: _Lease, reason: str, now: float) -> None:
+            release(lease)
+            last_failed[lease.task.chunk_id] = lease.host.host_id
+            scheduler.fail(lease.task, reason, now)
 
-        def fail(task: ChunkTask, error: str, now: float) -> None:
-            task.attempts += 1
-            if task.attempts <= request.max_retries:
-                stats.retries += 1
-                delay = min(
-                    self._backoff_cap,
-                    self._backoff_base * (2 ** (task.attempts - 1)),
-                )
-                task.not_before = now + delay
-                requeue(task)
-                emit(
-                    "chunk_retried",
-                    chunk=task.chunk_id,
-                    count=task.size,
-                    attempts=task.attempts,
-                )
-            elif task.size > 1 and request.split is not None:
-                stats.bisections += 1
-                emit("chunk_bisected", chunk=task.chunk_id, count=task.size)
-                for child in request.split(task):
-                    child.attempts = 0
-                    child.not_before = now
-                    requeue(child)
-            elif request.quarantine:
-                stats.quarantined_units += task.size
-                run.quarantined.append(QuarantinedChunk(task, error))
-                emit(
-                    "quarantine",
-                    chunk=task.chunk_id,
-                    units=task.size,
-                    reason=error.strip()[-200:],
-                )
-            else:
-                raise CampaignExecutionError(
-                    f"chunk {task.chunk_id} (+{task.size}) failed "
-                    f"{task.attempts} times across hosts and quarantine is "
-                    f"disabled:\n{error}"
-                )
-
-        def revoke_host_leases(host: _Host, reason: str, now: float) -> None:
-            for lease in list(host.leases.values()):
-                host.leases.pop(lease.lease_id, None)
-                leases.pop(lease.lease_id, None)
-                last_failed[lease.task.chunk_id] = host.host_id
-                fail(lease.task, reason, now)
+        def duplicate(host: _Host, chunk_id) -> None:
+            self.stats.duplicate_completions += 1
+            scheduler.emit("duplicate_completion", chunk=chunk_id, host=host.name)
 
         def accept_done(host: _Host, message: dict, now: float) -> None:
             nonlocal last_activity
-            chunk_id = message.get("chunk")
-            lease = leases.pop(message.get("lease"), None)
+            chunk_id, size = message.get("chunk"), message.get("count")
+            lease = leases.get(message.get("lease"))
             if lease is not None:
-                lease.host.leases.pop(lease.lease_id, None)
-            if chunk_id in completed:
+                release(lease)
+            if scheduler.is_complete(chunk_id):
                 # The chunk was re-issued and another execution already
                 # fsync'd its ledger record: first wins, this one is noise.
-                self.stats.duplicate_completions += 1
-                emit("duplicate_completion", chunk=chunk_id, host=host.name)
-                return
-            task: Optional[ChunkTask] = None
+                return duplicate(host, chunk_id)
             if lease is not None:
                 task = lease.task
-                self._observe(lease, now)
             else:
                 # The lease expired (or its host was severed) but the work
                 # itself survived and arrived first: still first-wins.  The
                 # chunk may be queued again or leased to another host —
                 # withdraw it from wherever it lives.
-                task = next(
-                    (t for t in pending if t.chunk_id == chunk_id), None
-                )
-                if task is not None:
-                    pending.remove(task)
-                else:
-                    other = next(
-                        (
-                            l
-                            for l in leases.values()
-                            if l.task.chunk_id == chunk_id
-                        ),
-                        None,
-                    )
-                    if other is not None:
-                        leases.pop(other.lease_id, None)
-                        other.host.leases.pop(other.lease_id, None)
-                        task = other.task
+                task = scheduler.withdraw(chunk_id, size)
+                key = (chunk_id, size)
+                held = [l for l in leases.values() if (l.task.chunk_id, l.task.size) == key]
+                if task is None and held:
+                    release(held[0])
+                    task = held[0].task
             if task is None:
-                self.stats.duplicate_completions += 1
-                emit("duplicate_completion", chunk=chunk_id, host=host.name)
-                return
-            metrics_delta = message.get("metrics")
-            if metrics_delta:
-                telemetry_metrics.registry().merge(metrics_delta)
-            completed.add(chunk_id)
-            run.results[chunk_id] = message.get("body")
-            stats.chunks_completed += 1
+                return duplicate(host, chunk_id)
+            elapsed = now - lease.granted_at if lease is not None else None
+            body, metrics = message.get("body"), message.get("metrics")
+            scheduler.complete(task, body, elapsed=elapsed, metrics=metrics)
             last_activity = now
-            if request.on_chunk_done is not None:
-                request.on_chunk_done(task, message.get("body"))
-            if (
-                abort_after
-                and stats.chunks_completed >= abort_after
-                and not guard.stop_requested
-            ):
-                guard.stop_requested = True
 
         def grant(host: _Host, now: float) -> None:
             nonlocal last_activity
-            if guard.stop_requested:
-                host.send(
-                    {
-                        "type": MSG_STAND_DOWN,
-                        "final": False,
-                        "reason": "interrupted",
-                    }
-                )
+            if scheduler.stop_requested:
+                host.send(_STAND_DOWN_INTERRUPTED)
                 return
             free = host.capacity - len(host.leases)
-            if free <= 0 or not pending:
-                host.send({"type": MSG_WAIT})
-                return
-            eligible = [t for t in pending if t.not_before <= now]
+            eligible = scheduler.eligible(now) if free > 0 else []
             if len(self._snapshot_hosts()) > 1:
                 preferred = [
-                    t
-                    for t in eligible
-                    if last_failed.get(t.chunk_id) != host.host_id
+                    t for t in eligible if last_failed.get(t.chunk_id) != host.host_id
                 ]
-                if preferred:
-                    eligible = preferred
+                eligible = preferred or eligible
             if not eligible:
                 host.send({"type": MSG_WAIT})
                 return
             batch = eligible[:free]
             entries = []
             for task in batch:
-                pending.remove(task)
-                lease = _Lease(
-                    lease_id=next(self._lease_ids),
-                    task=task,
-                    host=host,
-                    granted_at=now,
-                    deadline=self._deadline(request, task, now, len(batch)),
+                scheduler.emit(
+                    "lease_granted", chunk=task.chunk_id, count=task.size, host=host.name
                 )
-                leases[lease.lease_id] = lease
-                host.leases[lease.lease_id] = lease
+                deadline = scheduler.grant(task, now, batch=len(batch))
+                lease = _Lease(next(self._lease_ids), task, host, now, deadline)
+                leases[lease.lease_id] = host.leases[lease.lease_id] = lease
                 self.stats.leases_granted += 1
                 entries.append(
                     {
@@ -482,14 +346,6 @@ class CoordinatorTransport(DispatchTransport):
                         "payload": task.payload,
                     }
                 )
-                emit(
-                    "lease_granted",
-                    chunk=task.chunk_id,
-                    count=task.size,
-                    host=host.name,
-                )
-                if request.on_grant is not None and task.attempts == 0:
-                    request.on_grant(task)
             last_activity = now
             sent = host.send(
                 {
@@ -511,138 +367,96 @@ class CoordinatorTransport(DispatchTransport):
             if name == "join":
                 self.stats.hosts_joined += 1
                 last_activity = now
-                emit(
-                    "worker_joined",
-                    host=host.name,
-                    capacity=host.capacity,
-                )
-                return
-            if name == "gone":
+                scheduler.emit("worker_joined", host=host.name, capacity=host.capacity)
+            elif name == "gone":
                 self.stats.hosts_left += 1
                 if host.leases:
-                    stats.worker_restarts += 1
-                emit("worker_left", host=host.name, reason=str(detail)[-200:])
-                revoke_host_leases(host, f"host left: {detail}", now)
-                return
-            # name == "msg"
-            mtype = detail.get("type")
-            if mtype == MSG_NEXT:
+                    scheduler.stats.worker_restarts += 1
+                scheduler.emit("worker_left", host=host.name, reason=str(detail)[-200:])
+                for lease in list(host.leases.values()):
+                    revoke(lease, f"host left: {detail}", now)
+            elif detail.get("type") == MSG_NEXT:
                 grant(host, now)
-            elif mtype == MSG_DONE:
+            elif detail.get("type") == MSG_DONE:
                 accept_done(host, detail, now)
-            elif mtype == MSG_FAIL:
-                lease = leases.pop(detail.get("lease"), None)
+            elif detail.get("type") == MSG_FAIL:
+                lease = leases.get(detail.get("lease"))
                 if lease is not None:
-                    lease.host.leases.pop(lease.lease_id, None)
-                    last_failed[lease.task.chunk_id] = host.host_id
-                    fail(
-                        lease.task,
-                        str(detail.get("error", "worker reported failure")),
-                        now,
-                    )
-            elif mtype == MSG_METRICS:
-                delta = detail.get("delta")
-                if delta:
-                    telemetry_metrics.registry().merge(delta)
+                    revoke(lease, str(detail.get("error", "worker reported failure")), now)
+            elif detail.get("type") == MSG_METRICS and detail.get("delta"):
+                telemetry_metrics.registry().merge(detail["delta"])
 
         self._active = True
         try:
-            while True:
-                if not pending and not leases:
-                    break
-                if guard.stop_requested:
-                    stats.interrupted = True
-                    if not leases:
-                        break
-                try:
-                    event = self._events.get(timeout=0.1)
-                except queue.Empty:
-                    event = None
-                now = time.monotonic()
-                if event is not None:
-                    handle_event(event, now)
-                    while True:
+            with scheduler:
+                while not scheduler.finished(in_flight=bool(leases)):
+                    try:
+                        event = self._events.get(timeout=0.1)
+                    except queue.Empty:
+                        event = None
+                    while event is not None:
+                        handle_event(event, time.monotonic())
                         try:
                             event = self._events.get_nowait()
                         except queue.Empty:
-                            break
-                        handle_event(event, time.monotonic())
-                now = time.monotonic()
+                            event = None
+                    now = time.monotonic()
 
-                # Soft expiry: a host that stopped heartbeating loses all its
-                # leases (sever → its reader reports gone → chunks re-issue).
-                for host in self._snapshot_hosts():
-                    if host.leases and now - host.last_seen > self.lease_ttl:
-                        stats.timeouts += 1
-                        self.stats.leases_expired += len(host.leases)
-                        emit(
-                            "lease_expired",
-                            host=host.name,
-                            chunks=sorted(
-                                l.task.chunk_id for l in host.leases.values()
-                            ),
-                            reason="heartbeat lost",
-                        )
-                        self._sever(host, "lease TTL exceeded")
+                    # Soft expiry: a host that stopped heartbeating loses all
+                    # its leases (sever → its reader reports gone → re-issue).
+                    for host in self._snapshot_hosts():
+                        if host.leases and now - host.last_seen > self.lease_ttl:
+                            scheduler.stats.timeouts += 1
+                            self.stats.leases_expired += len(host.leases)
+                            scheduler.emit(
+                                "lease_expired",
+                                host=host.name,
+                                chunks=sorted(l.task.chunk_id for l in host.leases.values()),
+                                reason="heartbeat lost",
+                            )
+                            self._sever(host, "lease TTL exceeded")
 
-                # Hard deadline: a heartbeating host whose chunk is wedged.
-                for lease in list(leases.values()):
-                    if now > lease.deadline:
-                        stats.timeouts += 1
-                        self.stats.leases_expired += 1
-                        leases.pop(lease.lease_id, None)
-                        lease.host.leases.pop(lease.lease_id, None)
-                        last_failed[lease.task.chunk_id] = lease.host.host_id
-                        emit(
-                            "lease_expired",
-                            host=lease.host.name,
-                            chunks=[lease.task.chunk_id],
-                            reason="deadline exceeded",
-                        )
-                        fail(
-                            lease.task,
-                            f"lease deadline exceeded on {lease.host.name}",
-                            now,
-                        )
+                    # Hard deadline: a heartbeating host whose chunk is wedged.
+                    for lease in list(leases.values()):
+                        if now > lease.deadline:
+                            scheduler.stats.timeouts += 1
+                            self.stats.leases_expired += 1
+                            scheduler.emit(
+                                "lease_expired",
+                                host=lease.host.name,
+                                chunks=[lease.task.chunk_id],
+                                reason="deadline exceeded",
+                            )
+                            reason = f"lease deadline exceeded on {lease.host.name}"
+                            revoke(lease, reason, now)
 
-                # Graceful degradation: nobody is serving and nothing moved
-                # for local_fallback_after seconds — run the rest here.
-                if (
-                    pending
-                    and not leases
-                    and not guard.stop_requested
-                    and not self._snapshot_hosts()
-                    and now - last_activity >= self.local_fallback_after
-                ):
-                    remaining = sorted(pending, key=lambda t: t.chunk_id)
-                    pending.clear()
-                    units = sum(t.size for t in remaining)
-                    self.stats.local_fallback_units += units
-                    emit("dist_local_fallback", chunks=len(remaining), units=units)
-                    local = SupervisedPoolTransport().execute(
-                        dataclasses.replace(request, tasks=remaining)
-                    )
-                    run.results.update(local.results)
-                    run.quarantined.extend(local.quarantined)
-                    run.unfinished.extend(local.unfinished)
-                    completed.update(local.results)
-                    stats.merge(local.stats)
-                    break
+                    # Graceful degradation: nobody is serving and nothing moved
+                    # for local_fallback_after seconds — run the rest here.
+                    if (
+                        scheduler.pending
+                        and not leases
+                        and not scheduler.stop_requested
+                        and not self._snapshot_hosts()
+                        and now - last_activity >= self.local_fallback_after
+                    ):
+                        remaining, scheduler.pending = scheduler.pending, []
+                        units = sum(t.size for t in remaining)
+                        self.stats.local_fallback_units += units
+                        scheduler.emit(
+                            "dist_local_fallback", chunks=len(remaining), units=units
+                        )
+                        scheduler.absorb(
+                            SupervisedPoolTransport().execute(
+                                dataclasses.replace(request, tasks=remaining)
+                            )
+                        )
+                        break
         finally:
             self._active = False
-            guard.restore()
-            if guard.stop_requested:
+            if scheduler.stop_requested:
                 for host in self._snapshot_hosts():
-                    host.send(
-                        {
-                            "type": MSG_STAND_DOWN,
-                            "final": False,
-                            "reason": "interrupted",
-                        }
-                    )
-        run.unfinished.extend(pending)
-        run.unfinished.sort(key=lambda t: t.chunk_id)
-        return run
+                    host.send(_STAND_DOWN_INTERRUPTED)
+        return scheduler.result()
 
     def _snapshot_hosts(self) -> List[_Host]:
         with self._hosts_lock:

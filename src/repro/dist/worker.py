@@ -28,12 +28,12 @@ import os
 import socket
 import threading
 import time
-import traceback
 from pathlib import Path
 from typing import Optional
 
 from repro.campaign.engine import RegistryProvider
-from repro.campaign.supervisor import ChunkSupervisor, ChunkTask
+from repro.campaign.scheduler import ChunkTask, run_chunk
+from repro.campaign.supervisor import ChunkSupervisor
 from repro.dist.chaos import NetChaos
 from repro.dist.protocol import (
     MSG_DONE,
@@ -238,79 +238,38 @@ class WorkerAgent:
         entries = message.get("leases") or []
         if not entries:
             return
+
+        def reply(entry: dict, **fields) -> None:
+            frame = {"lease": entry["lease"], "chunk": entry["chunk"], "count": entry["count"]}
+            with send_lock:
+                send_frame(sock, {**frame, **fields})
+
         if self.jobs > 1 and len(entries) > 1:
-            self._execute_pooled(sock, send_lock, message, entries)
+            self._execute_pooled(sock, send_lock, message, entries, reply)
             return
         state = self._warm_state(message)
         for entry in entries:
             self._apply_chaos(entry)
-            metrics_before = (
-                telemetry_metrics.registry().snapshot()
-                if telemetry_metrics.enabled()
-                else None
-            )
-            try:
-                body = entry["fn"](state, entry["payload"])
-            except Exception:
-                reply = {
-                    "type": MSG_FAIL,
-                    "lease": entry["lease"],
-                    "chunk": entry["chunk"],
-                    "count": entry["count"],
-                    "error": traceback.format_exc(limit=16),
-                }
+            ok, body, delta = run_chunk(entry["fn"], state, entry["payload"])
+            if ok:
+                reply(entry, type=MSG_DONE, body=body, metrics=delta)
             else:
-                delta = (
-                    telemetry_metrics.registry().snapshot_delta(metrics_before)
-                    if metrics_before is not None
-                    else None
-                )
-                reply = {
-                    "type": MSG_DONE,
-                    "lease": entry["lease"],
-                    "chunk": entry["chunk"],
-                    "count": entry["count"],
-                    "body": body,
-                    "metrics": delta,
-                }
-            with send_lock:
-                send_frame(sock, reply)
+                reply(entry, type=MSG_FAIL, error=body)
 
-    def _execute_pooled(self, sock, send_lock, message: dict, entries) -> None:
+    def _execute_pooled(self, sock, send_lock, message: dict, entries, reply) -> None:
         """Run one lease batch on this host's supervised process pool."""
         for entry in entries:
             self._apply_chaos(entry)
+        by_chunk = {entry["chunk"]: entry for entry in entries}
         tasks = [
-            ChunkTask(
-                entry["chunk"],
-                entry["fn"],
-                entry["payload"],
-                entry["count"],
-                meta={"lease": entry["lease"]},
-            )
+            ChunkTask(entry["chunk"], entry["fn"], entry["payload"], entry["count"])
             for entry in entries
         ]
-        by_chunk = {entry["chunk"]: entry for entry in entries}
         metrics_before = (
             telemetry_metrics.registry().snapshot()
             if telemetry_metrics.enabled()
             else None
         )
-
-        def on_chunk_done(task: ChunkTask, body) -> None:
-            with send_lock:
-                send_frame(
-                    sock,
-                    {
-                        "type": MSG_DONE,
-                        "lease": task.meta["lease"],
-                        "chunk": task.chunk_id,
-                        "count": task.size,
-                        "body": body,
-                        "metrics": None,
-                    },
-                )
-
         supervisor = ChunkSupervisor(
             jobs=min(self.jobs, len(tasks)),
             context=multiprocessing.get_context(self.start_method),
@@ -319,37 +278,20 @@ class WorkerAgent:
             max_retries=self.max_retries,
             quarantine=True,
         )
-        outcome = supervisor.run(tasks, on_chunk_done=on_chunk_done)
+        outcome = supervisor.run(
+            tasks,
+            on_chunk_done=lambda task, body: reply(
+                by_chunk[task.chunk_id], type=MSG_DONE, body=body, metrics=None
+            ),
+        )
         for failed in outcome.quarantined:
-            entry = by_chunk.get(failed.task.chunk_id)
-            if entry is None:
-                continue
-            with send_lock:
-                send_frame(
-                    sock,
-                    {
-                        "type": MSG_FAIL,
-                        "lease": entry["lease"],
-                        "chunk": entry["chunk"],
-                        "count": entry["count"],
-                        "error": failed.error,
-                    },
-                )
+            reply(by_chunk[failed.task.chunk_id], type=MSG_FAIL, error=failed.error)
         for task in outcome.unfinished:
-            entry = by_chunk.get(task.chunk_id)
-            if entry is None:
-                continue
-            with send_lock:
-                send_frame(
-                    sock,
-                    {
-                        "type": MSG_FAIL,
-                        "lease": entry["lease"],
-                        "chunk": entry["chunk"],
-                        "count": entry["count"],
-                        "error": "worker pool degraded before the chunk ran",
-                    },
-                )
+            reply(
+                by_chunk[task.chunk_id],
+                type=MSG_FAIL,
+                error="worker pool degraded before the chunk ran",
+            )
         if metrics_before is not None:
             delta = telemetry_metrics.registry().snapshot_delta(metrics_before)
             if delta:

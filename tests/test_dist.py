@@ -271,7 +271,11 @@ class TestDistributedCampaigns:
             name="doomed",
             chaos=NetChaos(),
         ).start()
-        survivor = _AgentThread(transport.address, name="survivor").start()
+        # Throttled, so the survivor cannot drain every chunk while the
+        # doomed host sits in its idle back-off before its second lease.
+        survivor = _AgentThread(
+            transport.address, agent_cls=_ThrottledAgent, name="survivor"
+        ).start()
         try:
             result = engine.run(config, provider=dist_provider)
         finally:
@@ -279,6 +283,7 @@ class TestDistributedCampaigns:
             doomed.join()
             survivor.join()
         assert result_signature(result) == result_signature(serial)
+        assert doomed.agent._leases_received >= 2
         assert transport.stats.hosts_left >= 1
 
     def test_partitioned_host_reconnects_and_finishes(self):
